@@ -15,11 +15,7 @@ from .models import (
     Mlp,
     MlpSpec,
     VaeModel,
-    energy,
     energy_input_grad,
-    flow_forward,
-    flow_inverse,
-    flow_log_pdf,
     vae_decode,
     vae_encode,
 )

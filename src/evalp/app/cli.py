@@ -2,7 +2,8 @@
 
 Subcommands: train-vae, train-prior, sample, eval, sweep-kl. Outputs are
 CSV histories/grids, JSON summaries, and binary checkpoints. Exit codes:
-2 config error, 3 training divergence, 4 bad or incompatible checkpoint.
+2 config or data-file error, 3 training divergence or numeric failure,
+4 bad or incompatible checkpoint.
 """
 
 from __future__ import annotations
@@ -20,32 +21,35 @@ from scipy.special import logsumexp
 
 from ..data import make_dataset
 from ..diffcore import Tensor, no_grad
-from ..errors import CheckpointError, ConfigError, EvalpError, TrainingDivergedError
+from ..errors import (
+    CheckpointError,
+    ConfigError,
+    DataError,
+    DomainError,
+    EvalpError,
+    NonFiniteError,
+    ShapeMismatchError,
+    TrainingDivergedError,
+)
 from ..gauss import standard_normal_logpdf
 from ..metrics import GridSpec, default_grid, density_grid, frechet_gaussian, mmd_rbf, quadrature_log_z
 from ..models import VaeModel
 from ..rng import Rng
-from ..sampling import SirConfig, generate, sample_fast, sample_sir_batch
+from ..sampling import SirConfig, generate, resample, sample_fast, sample_sir_batch
 from ..stage1 import aggregate_posterior_sample, train_vae
-from ..stage2 import (
-    Stage2Config,
-    log_z_variational_estimate,
-    train_latent_flow_baseline,
-    train_nce_ratio_baseline,
-    train_prior,
-)
-from .checkpoint import (
-    load_energy,
-    load_flow,
-    load_vae,
-    save_checkpoint,
-    save_energy,
-    save_flow,
-    save_vae,
-)
+from ..stage2 import log_z_variational_estimate, train_nce_ratio_baseline, train_prior
+from .checkpoint import load_energy, load_flow, load_vae, save_energy, save_flow, save_vae
 from .config import RunConfig, config_hash, load_config
 
 EXPORT_GRID_POINTS = 101
+
+# Exit code per error family, first match wins. Widths disagree at the CLI
+# only between a checkpoint and the data or another checkpoint.
+EXIT_CODES = (
+    ((ConfigError, DataError), 2),
+    ((TrainingDivergedError, NonFiniteError, DomainError), 3),
+    ((CheckpointError, ShapeMismatchError), 4),
+)
 
 
 def _write_csv(path, header, rows):
@@ -70,7 +74,10 @@ def _require(cfg: RunConfig, section: str):
 
 def _build_dataset(cfg: RunConfig):
     seed = cfg.derived_seeds()["dataset"]
-    return make_dataset(cfg.dataset.name, cfg.dataset.n, seed, cfg.dataset.params)
+    try:
+        return make_dataset(cfg.dataset.name, cfg.dataset.n, seed, cfg.dataset.params)
+    except ValueError as e:
+        raise ConfigError(f"dataset: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -87,13 +94,11 @@ def run_train_vae(cfg: RunConfig, out: Path) -> dict:
         model, history = train_vae(dataset.samples, stage1)
     except TrainingDivergedError as e:
         if e.last_good is not None:
-            save_checkpoint(
-                str(out / "vae_lastgood.ckpt"),
-                "vae",
-                e.last_good,
-                {"arch": {}, "train": vars(stage1)},
-                stage1.seed,
-            )
+            model = VaeModel(dataset.dim, stage1.nz, stage1.hidden, stage1.obs_model)
+            snapshot = dict(e.last_good)
+            for name, p in model.named_parameters():
+                p.data = snapshot[name]
+            save_vae(str(out / "vae_lastgood.ckpt"), model, stage1.seed, _plain(stage1))
         raise
     wall = time.perf_counter() - start
     save_vae(str(out / "vae.ckpt"), model, stage1.seed, train_config=_plain(stage1))
@@ -247,13 +252,7 @@ def run_eval(cfg: RunConfig, out: Path, vae_path, energy_path, flow_path, n_eval
     q_agg = aggregate_posterior_sample(vae, dataset.samples, n_eval, rng.spawn())
     base = rng.normal((n_eval, vae.nz))
     flow_samples, _ = sample_fast(g, n_eval, rng.spawn())
-    sir_cfg = SirConfig(
-        proposals=sir.proposals,
-        normalizer_samples=sir.normalizer_samples,
-        seed=rng.seed_int(),
-        weight_mode=sir.weight_mode,
-    )
-    sir_samples, _ = sample_sir_batch(f, g, sir_cfg, n_eval)
+    sir_samples, _ = sample_sir_batch(f, g, _clone(sir, seed=rng.seed_int()), n_eval)
 
     data_ref = dataset.samples[
         rng.integers(0, len(dataset.samples), min(n_eval, len(dataset.samples)))
@@ -296,11 +295,7 @@ def _nce_sir_sample(clf, count, proposals, seed):
         z = rng.normal((proposals, clf.nz))
         with no_grad():
             logit = clf(Tensor(z)).data[:, 0]
-        logw = logit - logsumexp(logit)
-        cdf = np.cumsum(np.exp(logw))
-        u = rng.uniform(())
-        pick = int((cdf < u).sum().clip(0, proposals - 1))
-        out[i] = z[pick]
+        out[i] = z[resample(logit, rng.uniform(()))]
     return out
 
 
@@ -317,13 +312,7 @@ def run_sweep_cell(args) -> dict:
         "error": "",
     }
     try:
-        cell_cfg = RunConfig(
-            seed=seed,
-            dataset=cfg.dataset,
-            stage1=None,
-            stage2=None,
-        )
-        seeds = cell_cfg.derived_seeds()
+        seeds = RunConfig(seed=seed).derived_seeds()
         stage1 = _clone(cfg.stage1, kl_weight=kl_weight, seed=seeds["stage1"])
         stage2 = _clone(cfg.stage2, seed=seeds["stage2"])
         dataset = make_dataset(cfg.dataset.name, cfg.dataset.n, seeds["dataset"], cfg.dataset.params)
@@ -399,7 +388,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--seed", type=int, default=None, help="override the global seed")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="parallel sweep workers")
         if checkpoints:
             p.add_argument("--vae", required=True, help="stage-1 checkpoint path")
 
@@ -419,7 +407,9 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--flow", required=True)
     p.add_argument("--eval-samples", type=int, default=1000)
 
-    common(sub.add_parser("sweep-kl", help="robustness sweep over KL weights"))
+    p = sub.add_parser("sweep-kl", help="robustness sweep over KL weights")
+    common(p)
+    p.add_argument("--threads", type=int, default=1, help="parallel sweep workers")
     return parser
 
 
@@ -429,13 +419,9 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg.seed = args.seed
-            for section in (cfg.stage1, cfg.stage2, cfg.sir):
-                if section is not None:
-                    section.seed = cfg.derived_seeds()[
-                        {"Stage1Config": "stage1", "Stage2Config": "stage2", "SirConfig": "sir"}[
-                            type(section).__name__
-                        ]
-                    ]
+            for key in ("stage1", "stage2", "sir"):
+                if getattr(cfg, key) is not None:
+                    getattr(cfg, key).seed = cfg.derived_seeds()[key]
         out = Path(args.out or cfg.out_dir or "evalp_out")
         if args.command == "train-vae":
             run_train_vae(cfg, out)
@@ -447,15 +433,9 @@ def main(argv=None) -> int:
             run_eval(cfg, out, args.vae, args.energy, args.flow, args.eval_samples)
         elif args.command == "sweep-kl":
             run_sweep_kl(cfg, out, threads=args.threads)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except TrainingDivergedError as e:
-        print(f"training diverged: {e}", file=sys.stderr)
-        return 3
-    except CheckpointError as e:
-        print(f"checkpoint error: {e}", file=sys.stderr)
-        return 4
+    except EvalpError as e:
+        print(f"{type(e).__name__}: {e}", file=sys.stderr)
+        return next(code for kinds, code in EXIT_CODES if isinstance(e, kinds))
     return 0
 
 

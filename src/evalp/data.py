@@ -1,22 +1,16 @@
 """Synthetic 2-d dataset generators and an IDX-format image loader.
 
-Every generator is a pure function of its parameters and seed. Datasets
-carry a shift/scale normalization record so values can be mapped back to
-their raw range exactly.
+Every generator is a pure function of its parameters and seed.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    IdxBadMagicError,
-    IdxDimensionError,
-    IdxTruncatedError,
-)
+from .errors import DataError, IdxBadMagicError, IdxDimensionError, IdxTruncatedError
 from .rng import Rng
 
 IDX_MAGIC_IMAGES = 0x00000803
@@ -28,8 +22,6 @@ MAX_IDX_ELEMENTS = 1_000_000_000
 class Dataset:
     name: str
     samples: np.ndarray
-    shift: np.ndarray = None
-    scale: np.ndarray = None
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -37,24 +29,10 @@ class Dataset:
             raise ValueError("dataset must be non-empty")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("dataset contains non-finite values")
-        d = self.samples.shape[1]
-        if self.shift is None:
-            self.shift = np.zeros(d)
-        if self.scale is None:
-            self.scale = np.ones(d)
-        self.shift = np.asarray(self.shift, dtype=np.float64)
-        self.scale = np.asarray(self.scale, dtype=np.float64)
 
     @property
     def dim(self) -> int:
         return self.samples.shape[1]
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    def denormalize(self, x: np.ndarray) -> np.ndarray:
-        """Invert the recorded normalization."""
-        return np.asarray(x) * self.scale + self.shift
 
 
 def make_gaussian_ring(n, modes=8, radius=2.0, sigma=0.1, seed=0) -> Dataset:
@@ -71,11 +49,6 @@ def make_gaussian_ring(n, modes=8, radius=2.0, sigma=0.1, seed=0) -> Dataset:
     which = rng.integers(0, modes, n)
     samples = means[which] + sigma * rng.normal((n, 2))
     return Dataset(name=f"gaussian_ring{modes}", samples=samples)
-
-
-def ring_means(modes: int, radius: float) -> np.ndarray:
-    angles = 2.0 * np.pi * np.arange(modes) / modes
-    return radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
 
 def make_checkerboard(n, seed=0) -> Dataset:
@@ -118,8 +91,11 @@ def load_idx(path) -> Dataset:
     Layout: 4-byte big-endian magic, one 4-byte big-endian size per
     dimension, then raw unsigned bytes in row-major order.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as e:
+        raise DataError(f"cannot read data file {path}: {e}") from e
     if len(raw) < 4:
         raise IdxTruncatedError(f"{path}: file shorter than the magic field")
     (magic,) = struct.unpack(">I", raw[:4])
@@ -146,26 +122,7 @@ def load_idx(path) -> Dataset:
         )
     values = np.frombuffer(raw[header_len : header_len + count], dtype=np.uint8)
     samples = values.reshape(dims[0], -1).astype(np.float64) / 255.0
-    d = samples.shape[1]
-    return Dataset(
-        name=f"idx:{path}", samples=samples, shift=np.zeros(d), scale=np.full(d, 255.0)
-    )
-
-
-def write_idx(path, array: np.ndarray):
-    """Write a u8 array in IDX layout (3-d as images, 1-d as labels)."""
-    array = np.ascontiguousarray(array, dtype=np.uint8)
-    if array.ndim == 3:
-        magic = IDX_MAGIC_IMAGES
-    elif array.ndim == 1:
-        magic = IDX_MAGIC_LABELS
-    else:
-        raise ValueError(f"expected a 1-d or 3-d u8 array, got ndim {array.ndim}")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">I", magic))
-        for d in array.shape:
-            fh.write(struct.pack(">I", d))
-        fh.write(array.tobytes())
+    return Dataset(name=f"idx:{path}", samples=samples)
 
 
 _GENERATORS = {

@@ -110,10 +110,6 @@ class Tensor:
             raise ShapeMismatchError(f"item() needs a single element, got shape {self.data.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        """View sharing the same data, outside the graph."""
-        return Tensor._wrap(self.data, requires_grad=False)
-
     def zero_grad(self):
         self.grad = None
 

@@ -37,7 +37,11 @@ class ConfigError(EvalpError):
     """Configuration is missing, malformed, or contains unknown keys."""
 
 
-class IdxFormatError(EvalpError):
+class DataError(EvalpError):
+    """A data file is missing, unreadable, or malformed."""
+
+
+class IdxFormatError(DataError):
     """Base class for IDX file parsing failures."""
 
 

@@ -1,6 +1,6 @@
 """Quantitative evaluation: MMD, a Frechet-Gaussian proxy for generation
-quality, grid-quadrature oracles for unnormalized densities, PCA with
-brute-force nearest neighbors, and density grids for visualization."""
+quality, grid-quadrature oracles for unnormalized densities, and density
+grids for visualization."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from scipy.special import logsumexp
 
 from .diffcore import Tensor, no_grad
 from .errors import ShapeMismatchError
-from .gauss import LOG_2PI
+from .gauss import standard_normal_logpdf
 from .rng import Rng
 
 logger = logging.getLogger(__name__)
@@ -192,16 +192,12 @@ def _batched_values(fn, mesh: np.ndarray, batch: int = 65536) -> np.ndarray:
     return out
 
 
-def _log_standard_normal(mesh: np.ndarray) -> np.ndarray:
-    return -0.5 * ((mesh**2).sum(axis=1) + mesh.shape[1] * LOG_2PI)
-
-
 def quadrature_log_z(f, grid: GridSpec) -> float:
     """Trapezoid quadrature of log integral exp(-f(z)) N(z; 0, I) dz."""
     if grid.dim > 3:
         raise ValueError(f"quadrature supports dim <= 3, got {grid.dim}")
     mesh = grid.mesh()
-    vals = -_batched_values(as_energy_fn(f), mesh) + _log_standard_normal(mesh)
+    vals = -_batched_values(as_energy_fn(f), mesh) + standard_normal_logpdf(mesh).data
     return float(logsumexp(vals + grid.log_trapezoid_weights()))
 
 
@@ -213,7 +209,7 @@ def quadrature_expectation(f, h, grid: GridSpec) -> np.ndarray:
     if grid.dim > 3:
         raise ValueError(f"quadrature supports dim <= 3, got {grid.dim}")
     mesh = grid.mesh()
-    log_un = -_batched_values(as_energy_fn(f), mesh) + _log_standard_normal(mesh)
+    log_un = -_batched_values(as_energy_fn(f), mesh) + standard_normal_logpdf(mesh).data
     logw = log_un + grid.log_trapezoid_weights()
     w = np.exp(logw - logsumexp(logw))
     hv = np.asarray(h(mesh), dtype=np.float64)
@@ -232,46 +228,3 @@ def density_grid(log_density, grid: GridSpec):
     )
     xs, ys = grid.axes()
     return vals.reshape(grid.points, grid.points), xs, ys
-
-
-# ---------------------------------------------------------------------------
-# PCA and nearest neighbors
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class PcaBasis:
-    mean: np.ndarray
-    components: np.ndarray  # (d, k), columns are principal directions
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        return (np.asarray(x, dtype=np.float64) - self.mean) @ self.components
-
-    def reconstruct(self, coords: np.ndarray) -> np.ndarray:
-        return coords @ self.components.T + self.mean
-
-
-def pca_fit(data: np.ndarray, k: int) -> PcaBasis:
-    """Top-k principal directions via covariance eigendecomposition."""
-    data = np.asarray(data, dtype=np.float64)
-    d = data.shape[1]
-    if not 1 <= k <= d:
-        raise ValueError(f"k must be in [1, {d}], got {k}")
-    mean = data.mean(axis=0)
-    cov = np.cov(data - mean, rowvar=False).reshape(d, d)
-    vals, vecs = np.linalg.eigh(cov)
-    order = np.argsort(vals)[::-1]
-    return PcaBasis(mean=mean, components=vecs[:, order[:k]])
-
-
-def nearest_neighbors(query, trainset, k_nn: int, basis: PcaBasis) -> list[int]:
-    """Indices of the k nearest training rows to one query, by Euclidean
-    distance in the projected space; brute force, ties broken by index."""
-    trainset = np.asarray(trainset, dtype=np.float64)
-    if k_nn > len(trainset):
-        raise ValueError(f"k_nn {k_nn} exceeds trainset size {len(trainset)}")
-    q = basis.project(np.asarray(query, dtype=np.float64).reshape(1, -1))
-    t = basis.project(trainset)
-    dist = np.sqrt(((t - q) ** 2).sum(axis=1))
-    order = np.argsort(dist, kind="stable")
-    return [int(i) for i in order[:k_nn]]

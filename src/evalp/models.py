@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffcore import Tensor, concat, no_grad
+from .diffcore import Tensor, no_grad
 from .diffcore.tensor import tslice, transpose
 from .errors import ShapeMismatchError
 from .gauss import DiagGaussian, standard_normal_logpdf
@@ -91,10 +91,7 @@ class Mlp:
         return x
 
     def parameters(self) -> list[Tensor]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend([w, b])
-        return out
+        return [p for _, p in self.named_parameters()]
 
     def named_parameters(self, prefix: str = "") -> list[tuple[str, Tensor]]:
         out = []
@@ -149,11 +146,6 @@ class EnergyFunction:
 
     def arch(self) -> dict:
         return {"nz": self.nz, "nd": self.nd}
-
-
-def energy(f: EnergyFunction, z) -> Tensor:
-    """Energy values, shape (B, 1)."""
-    return f(z)
 
 
 def energy_input_grad(f: EnergyFunction, z) -> Tensor:
@@ -236,11 +228,7 @@ class CouplingLayer:
         return x, logdet
 
     def parameters(self):
-        return (
-            [self.shift, self.log_scale, self.s_bound]
-            + self.s_net.parameters()
-            + self.t_net.parameters()
-        )
+        return [p for _, p in self.named_parameters()]
 
     def named_parameters(self, prefix: str = ""):
         out = [
@@ -290,23 +278,6 @@ class FlowSampler:
         eps, logdet = self.inverse(z)
         return standard_normal_logpdf(eps) + logdet
 
-    def initialize_norm_forward(self, eps_batch: np.ndarray):
-        """Set each norm layer to whiten its incoming forward activations.
-
-        Statistics come from this one batch and are then frozen (the
-        shift/log-scale stay trainable; no running updates).
-        """
-        with no_grad():
-            x = np.asarray(eps_batch, dtype=np.float64)
-            for layer in self.layers:
-                mean = x.mean(axis=0)
-                std = x.std(axis=0) + 1e-6
-                layer.shift.data = -mean
-                layer.log_scale.data = -np.log(std)
-                out, _ = layer.forward(Tensor(x))
-                x = out.data
-        self.norm_initialized = True
-
     def initialize_norm_inverse(self, z_batch: np.ndarray):
         """Set each norm layer so the inverse pass whitens this batch."""
         with no_grad():
@@ -324,10 +295,7 @@ class FlowSampler:
         self.norm_initialized = True
 
     def parameters(self):
-        out = []
-        for layer in self.layers:
-            out.extend(layer.parameters())
-        return out
+        return [p for _, p in self.named_parameters()]
 
     def named_parameters(self):
         out = []
@@ -339,21 +307,26 @@ class FlowSampler:
         return {"nz": self.nz, "nh": self.nh, "n_layers": len(self.layers)}
 
 
-def flow_forward(g: FlowSampler, eps):
-    return g.forward(eps)
+def flow_terms(f: EnergyFunction, g: FlowSampler, eps):
+    """Per-sample quantities of the variational log-normalizer at z = g(eps).
 
-
-def flow_inverse(g: FlowSampler, z):
-    return g.inverse(z)
-
-
-def flow_log_pdf(g: FlowSampler, z):
-    return g.log_pdf(z)
+    Returns (z, f(z), log_ratio) with log_ratio = log p_g(z) - log p_0(z)
+    = log N(eps) - logdet - log N(z), the pathwise single-sample
+    KL(p_g || p_0) term. Records on the tape unless called under no_grad.
+    """
+    eps = eps if isinstance(eps, Tensor) else Tensor(eps)
+    z, logdet = g.forward(eps)
+    fz = f(z)
+    log_ratio = standard_normal_logpdf(eps) - logdet - standard_normal_logpdf(z)
+    return z, fz, log_ratio
 
 
 # ---------------------------------------------------------------------------
 # VAE
 # ---------------------------------------------------------------------------
+
+
+OBS_MODELS = ("gaussian", "bernoulli")
 
 
 class VaeModel:
@@ -364,7 +337,7 @@ class VaeModel:
     """
 
     def __init__(self, data_dim, nz, hidden=(64, 64), obs_model="gaussian", rng=None):
-        if obs_model not in ("gaussian", "bernoulli"):
+        if obs_model not in OBS_MODELS:
             raise ValueError(f"unknown obs_model {obs_model!r}")
         self.data_dim = data_dim
         self.nz = nz

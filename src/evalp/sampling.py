@@ -10,8 +10,7 @@ from scipy.special import logsumexp
 
 from .diffcore import Tensor, no_grad
 from .errors import ShapeMismatchError
-from .gauss import standard_normal_logpdf
-from .models import EnergyFunction, FlowSampler, VaeModel, decode_mean
+from .models import EnergyFunction, FlowSampler, VaeModel, decode_mean, flow_terms
 from .rng import Rng
 
 WEIGHT_MODES = ("paper_literal", "tilted_base")
@@ -57,29 +56,28 @@ def sample_fast(g: FlowSampler, m: int, seed):
     return z.data, counter
 
 
-def sir_log_weights(f_vals, log_pg, log_p0, weight_mode, log_z_hat=0.0):
+def sir_log_weights(f_vals, log_ratio, weight_mode, log_z_hat=0.0):
     """Un-normalized log importance weights for one proposal row set.
 
-    ``paper_literal`` divides the tilt by the estimated normalizer, so the
-    normalizer cancels after self-normalization and the weights reduce to
-    -f. ``tilted_base`` targets exp(-f) * p_0 under the flow proposal.
+    ``log_ratio`` is log p_g - log p_0 of each proposal. ``paper_literal``
+    divides the tilt by the estimated normalizer, so the normalizer
+    cancels after self-normalization and the weights reduce to -f.
+    ``tilted_base`` targets exp(-f) * p_0 under the flow proposal.
     """
     if weight_mode == "paper_literal":
         return -f_vals - log_z_hat
     if weight_mode == "tilted_base":
-        return -f_vals + log_p0 - log_pg
+        return -f_vals - log_ratio
     raise ValueError(f"weight_mode must be one of {WEIGHT_MODES}")
 
 
-def _energy_values(f: EnergyFunction, z: np.ndarray) -> np.ndarray:
-    with no_grad():
-        return f(Tensor(z)).data[:, 0]
-
-
-def sample_sir(f: EnergyFunction, g: FlowSampler, cfg: SirConfig):
-    """One latent via SIR with the flow as proposal; returns (z, counter)."""
-    z, counter = sample_sir_batch(f, g, cfg, count=1)
-    return z[0], counter
+def resample(logw, u):
+    """Multinomial picks along the last axis of un-normalized log weights:
+    the first index whose normalized cumulative weight reaches the uniform
+    draw ``u`` (one per row)."""
+    logw = logw - logsumexp(logw, axis=-1, keepdims=True)
+    cdf = np.cumsum(np.exp(logw), axis=-1)
+    return (cdf < u).sum(axis=-1).clip(0, logw.shape[-1] - 1)
 
 
 def sample_sir_batch(f: EnergyFunction, g: FlowSampler, cfg: SirConfig, count: int):
@@ -100,27 +98,17 @@ def sample_sir_batch(f: EnergyFunction, g: FlowSampler, cfg: SirConfig, count: i
     while done < count:
         b = min(chunk, count - done)
         with no_grad():
-            eps = Tensor(rng.normal((b * m, g.nz)))
-            z_t, logdet = g.forward(eps)
-            log_pg = standard_normal_logpdf(eps).data - logdet.data
-            log_p0 = standard_normal_logpdf(z_t).data
-        z = z_t.data
-        f_vals = _energy_values(f, z).reshape(b, m)
-        if cfg.weight_mode == "paper_literal":
-            with no_grad():
+            z, fz, log_ratio = flow_terms(f, g, rng.normal((b * m, g.nz)))
+            log_z_hat = 0.0
+            if cfg.weight_mode == "paper_literal":
                 extra, _ = g.forward(Tensor(rng.normal((b * n, g.nz))))
-            f_extra = _energy_values(f, extra.data).reshape(b, n)
-            log_z_hat = logsumexp(-f_extra, axis=1, keepdims=True) - np.log(n)
-            logw = sir_log_weights(f_vals, None, None, cfg.weight_mode, log_z_hat)
-        else:
-            logw = sir_log_weights(
-                f_vals, log_pg.reshape(b, m), log_p0.reshape(b, m), cfg.weight_mode
-            )
-        logw = logw - logsumexp(logw, axis=1, keepdims=True)
-        cdf = np.cumsum(np.exp(logw), axis=1)
-        u = rng.uniform((b, 1))
-        picks = (cdf < u).sum(axis=1).clip(0, m - 1)
-        out[done : done + b] = z.reshape(b, m, g.nz)[np.arange(b), picks]
+                f_extra = f(extra).data[:, 0].reshape(b, n)
+                log_z_hat = logsumexp(-f_extra, axis=1, keepdims=True) - np.log(n)
+        logw = sir_log_weights(
+            fz.data[:, 0].reshape(b, m), log_ratio.data.reshape(b, m), cfg.weight_mode, log_z_hat
+        )
+        picks = resample(logw, rng.uniform((b, 1)))
+        out[done : done + b] = z.data.reshape(b, m, g.nz)[np.arange(b), picks]
         done += b
     return out, counter
 

@@ -3,12 +3,12 @@ aggregate-posterior latent samples for stage 2."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .diffcore import Adam, Tensor, backward, no_grad
-from .errors import NonFiniteError, ShapeMismatchError, TrainingDivergedError
+from .errors import DomainError, NonFiniteError, TrainingDivergedError
 from .gauss import LOG_2PI, kl_to_standard, reparameterize
 from .models import VaeModel, vae_decode, vae_encode
 from .rng import Rng
@@ -107,7 +107,7 @@ def train_vae(data: np.ndarray, cfg: Stage1Config):
                 total, recon, kl = elbo_loss(model, Tensor(xb), cfg.kl_weight, Tensor(eps))
                 backward(total)
                 opt.step()
-            except NonFiniteError as e:
+            except (NonFiniteError, DomainError) as e:
                 raise TrainingDivergedError(
                     f"stage-1 training diverged at epoch {epoch}: {e}", last_good=last_good
                 ) from e

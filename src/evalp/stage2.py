@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diffcore import Adam, Tensor, backward, no_grad
-from .errors import NonFiniteError, ShapeMismatchError, TrainingDivergedError
-from .gauss import standard_normal_logpdf
-from .models import EnergyFunction, FlowSampler, default_sizes, energy_input_grad
+from .errors import DomainError, NonFiniteError, ShapeMismatchError, TrainingDivergedError
+from .models import EnergyFunction, FlowSampler, default_sizes, energy_input_grad, flow_terms
 from .rng import Rng
 from .stage1 import aggregate_posterior_sample
 
@@ -88,21 +87,6 @@ class PriorTrainHistory:
     sampler_updates: int = 0
 
 
-def _flow_sample_terms(f: EnergyFunction, g: FlowSampler, n: int, rng: Rng):
-    """Shared sampler-side quantities for one fresh noise batch.
-
-    Returns (e_g_f, kl_est) as tensors: the mean energy under the flow
-    pushforward and the pathwise single-sample KL(p_g || p_0) estimate
-    log p_g(z) - log p_0(z) with z = g(eps), log p_g(z) = log N(eps) - logdet.
-    """
-    eps = Tensor(rng.normal((n, g.nz)))
-    z, logdet = g.forward(eps)
-    e_g_f = f(z).mean()
-    log_pg = standard_normal_logpdf(eps) - logdet
-    kl_est = (log_pg - standard_normal_logpdf(z)).mean()
-    return e_g_f, kl_est
-
-
 def sampler_loss(f: EnergyFunction, g: FlowSampler, n: int, seed) -> Tensor:
     """Monte-Carlo sampler objective E_g[f] + KL(p_g || p_0).
 
@@ -113,21 +97,11 @@ def sampler_loss(f: EnergyFunction, g: FlowSampler, n: int, seed) -> Tensor:
     if n <= 0:
         raise ValueError(f"batch size must be positive, got {n}")
     rng = seed if isinstance(seed, Rng) else Rng(seed)
-    e_g_f, kl_est = _flow_sample_terms(f.detached(), g, n, rng)
-    loss = e_g_f + kl_est
+    _, fz, log_ratio = flow_terms(f.detached(), g, rng.normal((n, g.nz)))
+    loss = fz.mean() + log_ratio.mean()
     if not np.isfinite(loss.data):
         raise NonFiniteError(f"sampler_loss is not finite ({loss.data})")
     return loss
-
-
-def _gradient_penalty(f: EnergyFunction, z_q: np.ndarray, z_g: np.ndarray, rng: Rng) -> Tensor:
-    if z_q.shape != z_g.shape:
-        raise ShapeMismatchError(f"gradient_penalty: {z_q.shape} vs {z_g.shape}")
-    u = rng.uniform((z_q.shape[0], 1))
-    z_hat = u * z_q + (1.0 - u) * z_g
-    grad = energy_input_grad(f, z_hat)
-    norm = grad.square().sum(axis=-1).sqrt()
-    return (norm - 1.0).square().mean()
 
 
 def gradient_penalty(f: EnergyFunction, z_q, z_g, seed) -> Tensor:
@@ -136,7 +110,13 @@ def gradient_penalty(f: EnergyFunction, z_q, z_g, seed) -> Tensor:
     rng = seed if isinstance(seed, Rng) else Rng(seed)
     z_q = z_q.data if isinstance(z_q, Tensor) else np.asarray(z_q, dtype=np.float64)
     z_g = z_g.data if isinstance(z_g, Tensor) else np.asarray(z_g, dtype=np.float64)
-    return _gradient_penalty(f, z_q, z_g, rng)
+    if z_q.shape != z_g.shape:
+        raise ShapeMismatchError(f"gradient_penalty: {z_q.shape} vs {z_g.shape}")
+    u = rng.uniform((z_q.shape[0], 1))
+    z_hat = u * z_q + (1.0 - u) * z_g
+    grad = energy_input_grad(f, z_hat)
+    norm = grad.square().sum(axis=-1).sqrt()
+    return (norm - 1.0).square().mean()
 
 
 def critic_loss(f: EnergyFunction, g: FlowSampler, z_q, lambda_gp: float, seed) -> Tensor:
@@ -150,7 +130,7 @@ def critic_loss(f: EnergyFunction, g: FlowSampler, z_q, lambda_gp: float, seed) 
     with no_grad():
         z_g, _ = g.forward(Tensor(rng.normal((z_q.shape[0], g.nz))))
     z_g = z_g.data
-    loss = f(Tensor(z_q)).mean() - f(Tensor(z_g)).mean() + _gradient_penalty(
+    loss = f(Tensor(z_q)).mean() - f(Tensor(z_g)).mean() + gradient_penalty(
         f, z_q, z_g, rng
     ) * lambda_gp
     if not np.isfinite(loss.data):
@@ -162,12 +142,8 @@ def log_z_variational_samples(f: EnergyFunction, g: FlowSampler, n: int, seed) -
     """Per-sample terms of the variational log-normalizer estimate."""
     rng = seed if isinstance(seed, Rng) else Rng(seed)
     with no_grad():
-        eps = Tensor(rng.normal((n, g.nz)))
-        z, logdet = g.forward(eps)
-        vals = f(z).data[:, 0]
-        log_pg = standard_normal_logpdf(eps).data - logdet.data
-        log_p0 = standard_normal_logpdf(z).data
-    return -vals - (log_pg - log_p0)
+        _, fz, log_ratio = flow_terms(f, g, rng.normal((n, g.nz)))
+    return -fz.data[:, 0] - log_ratio.data
 
 
 def log_z_variational_estimate(f: EnergyFunction, g: FlowSampler, n: int, seed) -> float:
@@ -186,12 +162,10 @@ def log_z_variational_estimate(f: EnergyFunction, g: FlowSampler, n: int, seed) 
 def _evaluate_terms(f, g, z_q: np.ndarray, n: int, lambda_gp: float, rng: Rng) -> ObjectiveTerms:
     with no_grad():
         e_q_f = float(f(Tensor(z_q)).data.mean())
-        eps = Tensor(rng.normal((n, g.nz)))
-        z, logdet = g.forward(eps)
-        e_g_f = float(f(z).data.mean())
-        log_pg = standard_normal_logpdf(eps).data - logdet.data
-        kl = float((log_pg - standard_normal_logpdf(z).data).mean())
-        gp = float(_gradient_penalty(f, z_q, z.data, rng).data)
+        z, fz, log_ratio = flow_terms(f, g, rng.normal((n, g.nz)))
+        e_g_f = float(fz.data.mean())
+        kl = float(log_ratio.data.mean())
+        gp = float(gradient_penalty(f, z_q, z, rng).data)
     upper = -e_q_f + e_g_f + kl
     return ObjectiveTerms(
         e_q_f=e_q_f,
@@ -237,12 +211,11 @@ def train_tilted_prior(sample_q, nz: int, cfg: Stage2Config, iters_per_epoch: in
                 backward(loss)
                 opt_g.step()
                 history.sampler_updates += 1
-            except NonFiniteError as e:
-                raise TrainingDivergedError(f"stage-2 loss went non-finite: {e}") from e
-
-            terms = _evaluate_terms(
-                f, g, sample_q(cfg.batch_size), cfg.batch_size, cfg.lambda_gp, rng
-            )
+                terms = _evaluate_terms(
+                    f, g, sample_q(cfg.batch_size), cfg.batch_size, cfg.lambda_gp, rng
+                )
+            except (NonFiniteError, DomainError) as e:
+                raise TrainingDivergedError(f"stage-2 training diverged: {e}") from e
             if abs(terms.e_q_f) > DIVERGENCE_LIMIT or abs(terms.e_g_f) > DIVERGENCE_LIMIT:
                 raise TrainingDivergedError(
                     f"stage-2 diverged: e_q_f={terms.e_q_f}, e_g_f={terms.e_g_f}"

@@ -1,0 +1,132 @@
+"""CLI tests: one end-to-end pass through every command on a tiny config,
+with every file read back, and the exit code of each failure kind."""
+
+import csv
+import json
+
+import numpy as np
+import pytest
+
+import evalp.errors as errors
+from evalp.app.checkpoint import load_energy, load_flow, load_vae
+from evalp.app.cli import EXIT_CODES, main
+
+TINY = {
+    "seed": 1,
+    "dataset": {"name": "gaussian_ring", "n": 256},
+    "stage1": {"nz": 2, "epochs": 3},
+    "stage2": {"epochs": 1},
+    "sir": {"proposals": 50, "normalizer_samples": 50},
+}
+
+
+def _config(tmp_path, name="config", **overrides):
+    doc = json.loads(json.dumps(TINY))
+    for dotted, value in overrides.items():
+        section, key = dotted.split("__")
+        doc[section][key] = value
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _run(config, out, *argv):
+    return main([*argv, "--config", config, "--out", str(out)])
+
+
+def _read_csv(path):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    values = np.array(rows[1:], dtype=np.float64)
+    assert rows[0] and len(values) > 0 and np.isfinite(values).all(), path
+    return rows[0], values
+
+
+@pytest.fixture
+def vae_ckpt(tmp_path):
+    assert _run(_config(tmp_path), tmp_path / "vae", "train-vae") == 0
+    return str(tmp_path / "vae" / "vae.ckpt")
+
+
+def test_every_command_runs_and_every_output_reads_back(tmp_path):
+    cfg = _config(tmp_path)
+    train = tmp_path / "train"
+    vae, energy, flow = (str(train / f"{k}.ckpt") for k in ("vae", "energy", "flow"))
+    models = ["--vae", vae, "--energy", energy, "--flow", flow]
+    assert _run(cfg, train, "train-vae") == 0
+    assert _run(cfg, train, "train-prior", "--vae", vae) == 0
+    assert _run(cfg, tmp_path / "fast", "sample", *models, "--mode", "fast", "--count", "20") == 0
+    assert _run(cfg, tmp_path / "sir", "sample", *models, "--mode", "sir", "--count", "20") == 0
+    assert _run(cfg, tmp_path / "eval", "eval", *models, "--eval-samples", "100") == 0
+
+    assert load_vae(vae).nz == load_energy(energy).nz == load_flow(flow).nz == 2
+    summary = json.loads((train / "train_prior_summary.json").read_text())
+    for name in ["stage1_history.csv", "stage2_history.csv", *summary["density_grids"]]:
+        _read_csv(train / name)
+    assert len(summary["density_grids"]) == 4
+    for mode in ("fast", "sir"):
+        assert _read_csv(tmp_path / mode / "latents.csv")[1].shape == (20, 2)
+        assert _read_csv(tmp_path / mode / "samples.csv")[1].shape == (20, 2)
+        assert json.loads((tmp_path / mode / "sample_report.json").read_text())["mode"] == mode
+    assert json.loads((train / "train_vae_summary.json").read_text())["epochs"] == 3
+    report = json.loads((tmp_path / "eval" / "eval_report.json").read_text())
+    assert np.isfinite(report["logz_gap"]) and report["n_eval"] == 100
+
+
+def test_stage1_divergence_exits_3_and_last_good_loads(tmp_path):
+    cfg = _config(tmp_path, stage1__learning_rate=1e30)
+    assert _run(cfg, tmp_path, "train-vae") == 3
+    model = load_vae(tmp_path / "vae_lastgood.ckpt")
+    assert (model.data_dim, model.nz) == (2, 2)
+
+
+def test_stage1_overflow_exits_3(tmp_path):
+    assert _run(_config(tmp_path, stage1__learning_rate=1e150), tmp_path, "train-vae") == 3
+
+
+def test_stage2_overflow_exits_3(tmp_path, vae_ckpt):
+    cfg = _config(tmp_path, stage2__lr_sampler=1e3)
+    assert _run(cfg, tmp_path / "prior", "train-prior", "--vae", vae_ckpt) == 3
+
+
+def test_missing_idx_file_exits_2(tmp_path):
+    cfg = tmp_path / "idx.json"
+    cfg.write_text(json.dumps({
+        "dataset": {"name": "idx", "params": {"path": str(tmp_path / "missing.idx")}},
+        "stage1": {"nz": 2, "epochs": 1},
+    }))
+    assert _run(str(cfg), tmp_path, "train-vae") == 2
+
+
+def test_malformed_idx_file_exits_2(tmp_path):
+    (tmp_path / "bad.idx").write_bytes(b"\x00\x00\x08\x99" + bytes(12))
+    cfg = tmp_path / "idx.json"
+    cfg.write_text(json.dumps({
+        "dataset": {"name": "idx", "params": {"path": str(tmp_path / "bad.idx")}},
+        "stage1": {"nz": 2, "epochs": 1},
+    }))
+    assert _run(str(cfg), tmp_path, "train-vae") == 2
+
+
+def test_corrupt_checkpoint_exits_4(tmp_path):
+    (tmp_path / "vae.ckpt").write_bytes(b"EVLP" + bytes(20))
+    assert _run(_config(tmp_path), tmp_path, "train-prior", "--vae", str(tmp_path / "vae.ckpt")) == 4
+
+
+def test_threads_only_on_sweep(tmp_path):
+    with pytest.raises(SystemExit):
+        _run(_config(tmp_path), tmp_path, "train-vae", "--threads", "2")
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_error_has_a_documented_exit_code():
+    classes = list(_subclasses(errors.EvalpError))
+    assert len(classes) >= 10
+    for cls in classes:
+        codes = [code for kinds, code in EXIT_CODES if issubclass(cls, kinds)]
+        assert codes and codes[0] in (2, 3, 4), cls.__name__
