@@ -17,6 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
 
 from ..data import make_dataset
@@ -32,7 +33,15 @@ from ..errors import (
     TrainingDivergedError,
 )
 from ..gauss import standard_normal_logpdf
-from ..metrics import GridSpec, default_grid, density_grid, frechet_gaussian, mmd_rbf, quadrature_log_z
+from ..metrics import (
+    GridSpec,
+    default_grid,
+    density_grid,
+    frechet_gaussian,
+    mmd_rbf,
+    quadrature_log_z,
+    tilted_log_density,
+)
 from ..models import VaeModel
 from ..rng import Rng
 from ..sampling import SirConfig, generate, resample, sample_fast, sample_sir_batch
@@ -123,42 +132,26 @@ def run_train_vae(cfg: RunConfig, out: Path) -> dict:
 
 def _export_density_grids(out: Path, vae, f, g, data, seeds):
     grid = GridSpec((-4.0, -4.0), (4.0, 4.0), EXPORT_GRID_POINTS)
-    quad = quadrature_log_z(f, default_grid(2))
-
-    def energy_logpdf(z):
-        with no_grad():
-            fv = f(Tensor(z)).data[:, 0]
-        return -fv + standard_normal_logpdf(Tensor(z)).data - quad
-
-    def flow_logpdf(z):
-        with no_grad():
-            return g.log_pdf(Tensor(z)).data
-
-    def base_logpdf(z):
-        return standard_normal_logpdf(Tensor(z)).data
-
     q_samples = aggregate_posterior_sample(vae, data, 2000, seeds["sir"])
     bw = max(1e-3, float(q_samples.std()) * len(q_samples) ** (-1.0 / 6.0))
+    tilted = tilted_log_density(f)
 
     def qagg_kde(z):
-        d2 = ((z[:, None, :] - q_samples[None, :, :]) ** 2).sum(axis=2)
+        d2 = cdist(z, q_samples, "sqeuclidean")
         return logsumexp(-d2 / (2 * bw**2), axis=1) - np.log(len(q_samples)) - np.log(
             2 * np.pi * bw**2
         )
 
-    names = {
-        "grid_base_prior.csv": base_logpdf,
-        "grid_tilted_prior.csv": energy_logpdf,
-        "grid_flow_density.csv": flow_logpdf,
-        "grid_qagg_kde.csv": qagg_kde,
-    }
-    for fname, fn in names.items():
-        vals, xs, ys = density_grid(fn, grid)
-        rows = []
-        for i, xv in enumerate(xs):
-            for j, yv in enumerate(ys):
-                rows.append([xv, yv, vals[i, j]])
-        _write_csv(out / fname, ["x", "y", "log_density"], rows)
+    with no_grad():
+        log_z = quadrature_log_z(f, default_grid(2, points=EXPORT_GRID_POINTS))
+        names = {
+            "grid_base_prior.csv": lambda z: standard_normal_logpdf(z).data,
+            "grid_tilted_prior.csv": lambda z: tilted(z) - log_z,
+            "grid_flow_density.csv": lambda z: g.log_pdf(Tensor(z)).data,
+            "grid_qagg_kde.csv": qagg_kde,
+        }
+        for fname, fn in names.items():
+            _write_csv(out / fname, ["x", "y", "log_density"], density_grid(fn, grid))
     return sorted(names)
 
 
@@ -211,6 +204,8 @@ def _load_models(vae_path, energy_path, flow_path):
 
 
 def run_sample(cfg: RunConfig, out: Path, vae_path, energy_path, flow_path, mode, count) -> dict:
+    if count < 0:
+        raise ConfigError(f"sample count must be >= 0, got {count}")
     out.mkdir(parents=True, exist_ok=True)
     vae, f, g = _load_models(vae_path, energy_path, flow_path)
     sir = cfg.sir or SirConfig(seed=cfg.derived_seeds()["sir"])
@@ -245,6 +240,11 @@ def run_eval(cfg: RunConfig, out: Path, vae_path, energy_path, flow_path, n_eval
     out.mkdir(parents=True, exist_ok=True)
     vae, f, g = _load_models(vae_path, energy_path, flow_path)
     dataset = _build_dataset(cfg)
+    if min(n_eval, len(dataset.samples)) <= dataset.dim:
+        raise ConfigError(
+            f"eval needs more than {dataset.dim} samples per side, got {n_eval} "
+            f"eval samples and {len(dataset.samples)} data rows"
+        )
     seeds = cfg.derived_seeds()
     sir = cfg.sir or SirConfig(seed=seeds["sir"])
     rng = Rng(seeds["sir"])

@@ -1,6 +1,7 @@
 """Quantitative evaluation: MMD, a Frechet-Gaussian proxy for generation
-quality, grid-quadrature oracles for unnormalized densities, and density
-grids for visualization."""
+quality, grid-quadrature oracles for the tilted prior exp(-f) N(0, I), and
+2-d density grids for visualization. Grid values are computed in chunks of
+rows, so memory is bounded by the chunk, not the grid."""
 
 from __future__ import annotations
 
@@ -62,7 +63,15 @@ class GridSpec:
         return logw
 
 
-def default_grid(dim: int, half_width: float = 8.0, points: int = 801) -> GridSpec:
+# Node budget of a default grid: 801 points per axis up to 2-d, 103 in 3-d.
+MAX_GRID_NODES = 1_100_000
+
+
+def default_grid(dim: int, half_width: float = 8.0, points: int | None = None) -> GridSpec:
+    """Cube [-half_width, half_width]^dim; by default the most points per
+    axis (at most 801) that keep the mesh within MAX_GRID_NODES nodes."""
+    if points is None:
+        points = min(801, int(MAX_GRID_NODES ** (1.0 / dim)))
     return GridSpec((-half_width,) * dim, (half_width,) * dim, points)
 
 
@@ -173,32 +182,38 @@ def frechet_gaussian(x, y) -> float:
 # ---------------------------------------------------------------------------
 
 
-def as_energy_fn(f):
-    """Adapt an energy model or plain callable to rows -> values."""
-    if callable(f) and not hasattr(f, "parameters"):
-        return lambda z: np.asarray(f(z), dtype=np.float64).reshape(len(z))
+def tilted_log_density(f):
+    """Rows -> -f(z) + log N(z; 0, I), the unnormalized log density of the
+    tilted prior; ``f`` is an energy model or a plain rows -> values callable."""
+    model = hasattr(f, "parameters")
 
-    def fn(z):
+    def log_density(z):
         with no_grad():
-            return f(Tensor(z)).data.reshape(len(z))
+            fz = f(Tensor(z)).data if model else f(z)
+        return -np.asarray(fz, dtype=np.float64).reshape(len(z)) + standard_normal_logpdf(z).data
 
-    return fn
+    return log_density
 
 
-def _batched_values(fn, mesh: np.ndarray, batch: int = 65536) -> np.ndarray:
+def _batched_values(fn, mesh: np.ndarray, batch: int = 1024) -> np.ndarray:
     out = np.empty(len(mesh))
     for start in range(0, len(mesh), batch):
         out[start : start + batch] = fn(mesh[start : start + batch])
     return out
 
 
-def quadrature_log_z(f, grid: GridSpec) -> float:
-    """Trapezoid quadrature of log integral exp(-f(z)) N(z; 0, I) dz."""
+def _tilted_log_weights(f, grid: GridSpec):
+    """Grid nodes and their log(quadrature weight * exp(-f) N(0, I))."""
     if grid.dim > 3:
         raise ValueError(f"quadrature supports dim <= 3, got {grid.dim}")
     mesh = grid.mesh()
-    vals = -_batched_values(as_energy_fn(f), mesh) + standard_normal_logpdf(mesh).data
-    return float(logsumexp(vals + grid.log_trapezoid_weights()))
+    return mesh, _batched_values(tilted_log_density(f), mesh) + grid.log_trapezoid_weights()
+
+
+def quadrature_log_z(f, grid: GridSpec) -> float:
+    """Trapezoid quadrature of log integral exp(-f(z)) N(z; 0, I) dz."""
+    _, logw = _tilted_log_weights(f, grid)
+    return float(logsumexp(logw))
 
 
 def quadrature_expectation(f, h, grid: GridSpec) -> np.ndarray:
@@ -206,11 +221,7 @@ def quadrature_expectation(f, h, grid: GridSpec) -> np.ndarray:
 
     ``h`` maps rows to (n,) or (n, k); returns a scalar or (k,) array.
     """
-    if grid.dim > 3:
-        raise ValueError(f"quadrature supports dim <= 3, got {grid.dim}")
-    mesh = grid.mesh()
-    log_un = -_batched_values(as_energy_fn(f), mesh) + standard_normal_logpdf(mesh).data
-    logw = log_un + grid.log_trapezoid_weights()
+    mesh, logw = _tilted_log_weights(f, grid)
     w = np.exp(logw - logsumexp(logw))
     hv = np.asarray(h(mesh), dtype=np.float64)
     if hv.ndim == 1:
@@ -218,13 +229,13 @@ def quadrature_expectation(f, h, grid: GridSpec) -> np.ndarray:
     return (w[:, None] * hv).sum(axis=0)
 
 
-def density_grid(log_density, grid: GridSpec):
-    """Row-major 2-d grid of log-density values; returns (values, xs, ys)."""
+def density_grid(log_density, grid: GridSpec) -> list:
+    """(x, y, log_density) rows of a 2-d grid, row-major over ``grid.axes()``
+    (x outer); ``log_density`` maps each chunk of rows to one value per row."""
     if grid.dim != 2:
         raise ValueError(f"density_grid needs dim == 2, got {grid.dim}")
     mesh = grid.mesh()
     vals = _batched_values(
         lambda z: np.asarray(log_density(z), dtype=np.float64).reshape(len(z)), mesh
     )
-    xs, ys = grid.axes()
-    return vals.reshape(grid.points, grid.points), xs, ys
+    return np.column_stack([mesh, vals]).tolist()

@@ -22,7 +22,6 @@ class Stage1Config:
     learning_rate: float = 1e-3
     kl_weight: float = 1.0
     seed: int = 0
-    dataset: str = "gaussian_ring"
     hidden: tuple = (64, 64)
     obs_model: str = "gaussian"
 

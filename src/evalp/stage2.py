@@ -33,13 +33,6 @@ class Stage2Config:
     lr_energy: float = 2e-4
     lr_sampler: float = 2e-4
     seed: int = 0
-    # Architecture overrides; None picks defaults by latent width.
-    energy_hidden: int | None = None
-    flow_hidden: int | None = None
-    flow_layers: int | None = None
-    # Frozen latent cache instead of fresh aggregate-posterior draws.
-    use_latent_cache: bool = False
-    cache_size: int = 10000
 
     def __post_init__(self):
         if self.lambda_gp <= 0:
@@ -50,16 +43,6 @@ class Stage2Config:
             )
         if self.batch_size <= 0 or self.epochs <= 0:
             raise ValueError("batch_size and epochs must be positive")
-
-    def sizes(self, nz: int) -> dict:
-        s = default_sizes(nz)
-        if self.energy_hidden is not None:
-            s["nd"] = self.energy_hidden
-        if self.flow_hidden is not None:
-            s["nh"] = self.flow_hidden
-        if self.flow_layers is not None:
-            s["n_layers"] = self.flow_layers
-        return s
 
 
 @dataclass
@@ -187,7 +170,7 @@ def train_tilted_prior(sample_q, nz: int, cfg: Stage2Config, iters_per_epoch: in
     """
     rng = Rng(cfg.seed)
     init_rng = rng.spawn()
-    sizes = cfg.sizes(nz)
+    sizes = default_sizes(nz)
     f = EnergyFunction(nz, sizes["nd"], init_rng)
     g = FlowSampler(nz, sizes["nh"], sizes["n_layers"], init_rng)
     g.initialize_norm_inverse(sample_q(cfg.batch_size))
@@ -224,15 +207,8 @@ def train_tilted_prior(sample_q, nz: int, cfg: Stage2Config, iters_per_epoch: in
     return f, g, history
 
 
-def _qagg_source(vae, data, cfg: Stage2Config, rng: Rng):
-    if cfg.use_latent_cache:
-        cache = aggregate_posterior_sample(vae, data, cfg.cache_size, rng.spawn())
-        pick = rng.spawn()
-
-        def sample(n):
-            return cache[pick.integers(0, cache.shape[0], n)]
-
-        return sample
+def _qagg_source(vae, data, rng: Rng):
+    """Fresh aggregate-posterior draws, each from its own child stream."""
     draws = rng.spawn()
 
     def sample(n):
@@ -249,7 +225,7 @@ def train_prior(vae, data, cfg: Stage2Config):
     """
     data = np.asarray(data, dtype=np.float64)
     rng = Rng(cfg.seed)
-    sample_q = _qagg_source(vae, data, cfg, rng.spawn())
+    sample_q = _qagg_source(vae, data, rng.spawn())
     iters = max(1, data.shape[0] // cfg.batch_size)
     return train_tilted_prior(sample_q, vae.nz, cfg, iters)
 
@@ -270,9 +246,9 @@ def train_latent_flow_baseline(vae, data, cfg: Stage2Config):
     """
     data = np.asarray(data, dtype=np.float64)
     rng = Rng(cfg.seed)
-    sample_q = _qagg_source(vae, data, cfg, rng.spawn())
+    sample_q = _qagg_source(vae, data, rng.spawn())
     init_rng = rng.spawn()
-    sizes = cfg.sizes(vae.nz)
+    sizes = default_sizes(vae.nz)
     g = FlowSampler(vae.nz, sizes["nh"], sizes["n_layers"], init_rng)
     g.initialize_norm_inverse(sample_q(cfg.batch_size))
     opt = Adam(g.parameters(), lr=cfg.lr_sampler)
@@ -315,9 +291,9 @@ def train_nce_ratio_baseline(vae, data, cfg: Stage2Config):
     """
     data = np.asarray(data, dtype=np.float64)
     rng = Rng(cfg.seed)
-    sample_q = _qagg_source(vae, data, cfg, rng.spawn())
+    sample_q = _qagg_source(vae, data, rng.spawn())
     init_rng, noise_rng = rng.spawn(), rng.spawn()
-    sizes = cfg.sizes(vae.nz)
+    sizes = default_sizes(vae.nz)
     clf = EnergyFunction(vae.nz, sizes["nd"], init_rng)
     opt = Adam(clf.parameters(), lr=1e-3)
     iters = max(1, data.shape[0] // cfg.batch_size)

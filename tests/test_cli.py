@@ -113,6 +113,34 @@ def test_corrupt_checkpoint_exits_4(tmp_path):
     assert _run(_config(tmp_path), tmp_path, "train-prior", "--vae", str(tmp_path / "vae.ckpt")) == 4
 
 
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    root = tmp_path_factory.mktemp("trained")
+    cfg = _config(root)
+    vae = str(root / "vae.ckpt")
+    assert _run(cfg, root, "train-vae") == 0
+    assert _run(cfg, root, "train-prior", "--vae", vae) == 0
+    return cfg, ["--vae", vae, "--energy", str(root / "energy.ckpt"), "--flow", str(root / "flow.ckpt")]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--mode", "fast", "--count", "-1"],
+        ["sample", "--mode", "sir", "--count", "-1"],
+        ["eval", "--eval-samples", "1"],
+        ["eval", "--eval-samples", "2"],  # not more rows than the ring's 2 dimensions
+    ],
+)
+def test_argument_range_errors_exit_2(tmp_path, trained, argv):
+    cfg, models = trained
+    assert _run(cfg, tmp_path, *argv[:1], *models, *argv[1:]) == 2
+
+
+def test_unknown_stage1_dataset_key_exits_2(tmp_path):
+    assert _run(_config(tmp_path, stage1__dataset="pinwheel"), tmp_path, "train-vae") == 2
+
+
 def test_threads_only_on_sweep(tmp_path):
     with pytest.raises(SystemExit):
         _run(_config(tmp_path), tmp_path, "train-vae", "--threads", "2")
