@@ -38,6 +38,7 @@ from ..metrics import (
     default_grid,
     density_grid,
     frechet_gaussian,
+    map_row_blocks,
     mmd_rbf,
     quadrature_log_z,
     tilted_log_density,
@@ -290,13 +291,14 @@ def run_eval(cfg: RunConfig, out: Path, vae_path, energy_path, flow_path, n_eval
 def _nce_sir_sample(clf, count, proposals, seed):
     """SIR over N(0, I) proposals with weights proportional to exp(logit)."""
     rng = Rng(seed)
-    out = np.zeros((count, clf.nz))
-    for i in range(count):
-        z = rng.normal((proposals, clf.nz))
-        with no_grad():
-            logit = clf(Tensor(z)).data[:, 0]
-        out[i] = z[resample(logit, rng.uniform(()))]
-    return out
+    z = np.zeros((count, proposals, clf.nz))
+    u = np.zeros((count, 1))
+    for i in range(count):  # per sample: its proposals, then its uniform
+        z[i] = rng.normal((proposals, clf.nz))
+        u[i] = rng.uniform(())
+    with no_grad():
+        logit = map_row_blocks(lambda rows: clf(Tensor(rows)).data[:, 0], z.reshape(-1, clf.nz))
+    return z[np.arange(count), resample(logit.reshape(count, proposals), u)]
 
 
 def run_sweep_cell(args) -> dict:

@@ -359,11 +359,17 @@ def relu(a):
 
 @_register("leaky_relu")
 def leaky_relu(a, slope=0.01):
+    if not 0.0 <= slope <= 1.0:
+        raise ValueError(f"leaky_relu slope must be in [0, 1], got {slope}")
     a = _as_tensor(a)
-    # Subgradient at exactly 0 is the negative-side slope.
-    factor = np.where(a.data > 0.0, 1.0, slope)
-    out = Tensor._wrap(np.where(a.data > 0.0, a.data, slope * a.data))
-    return _record(out, (a,), lambda g: (g * factor,))
+    # For 0 <= slope <= 1, max(a, slope * a) picks the same branch as a > 0.
+    out = Tensor._wrap(np.maximum(a.data, slope * a.data))
+
+    def pull(g):
+        # Subgradient at exactly 0 is the negative-side slope.
+        return (g * np.where(a.data > 0.0, 1.0, slope),)
+
+    return _record(out, (a,), pull)
 
 
 @_register("softplus")

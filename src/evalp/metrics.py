@@ -195,11 +195,19 @@ def tilted_log_density(f):
     return log_density
 
 
-def _batched_values(fn, mesh: np.ndarray, batch: int = 1024) -> np.ndarray:
-    out = np.empty(len(mesh))
-    for start in range(0, len(mesh), batch):
-        out[start : start + batch] = fn(mesh[start : start + batch])
-    return out
+# Rows per call of every blocked evaluation (grids, quadrature, sampling):
+# small enough that a block's intermediates stay in cache.
+BLOCK_ROWS = 1024
+
+
+def map_row_blocks(fn, rows: np.ndarray):
+    """``fn`` over consecutive blocks of at most BLOCK_ROWS rows, its outputs
+    joined along axis 0; ``fn`` returns one array or a tuple of arrays. An
+    empty ``rows`` is passed through once, so the output shapes are right."""
+    parts = [fn(rows[s : s + BLOCK_ROWS]) for s in range(0, max(len(rows), 1), BLOCK_ROWS)]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(p) for p in zip(*parts))
+    return np.concatenate(parts)
 
 
 def _tilted_log_weights(f, grid: GridSpec):
@@ -207,7 +215,7 @@ def _tilted_log_weights(f, grid: GridSpec):
     if grid.dim > 3:
         raise ValueError(f"quadrature supports dim <= 3, got {grid.dim}")
     mesh = grid.mesh()
-    return mesh, _batched_values(tilted_log_density(f), mesh) + grid.log_trapezoid_weights()
+    return mesh, map_row_blocks(tilted_log_density(f), mesh) + grid.log_trapezoid_weights()
 
 
 def quadrature_log_z(f, grid: GridSpec) -> float:
@@ -235,7 +243,7 @@ def density_grid(log_density, grid: GridSpec) -> list:
     if grid.dim != 2:
         raise ValueError(f"density_grid needs dim == 2, got {grid.dim}")
     mesh = grid.mesh()
-    vals = _batched_values(
+    vals = map_row_blocks(
         lambda z: np.asarray(log_density(z), dtype=np.float64).reshape(len(z)), mesh
     )
     return np.column_stack([mesh, vals]).tolist()

@@ -28,7 +28,7 @@ _ACT = {
 _ACT_NP = {
     "tanh": np.tanh,
     "relu": lambda x: np.maximum(x, 0.0),
-    "leaky_relu": lambda x: np.where(x > 0.0, x, 0.01 * x),
+    "leaky_relu": lambda x: np.maximum(x, 0.01 * x),
     "none": lambda x: x,
 }
 

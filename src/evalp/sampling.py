@@ -10,6 +10,7 @@ from scipy.special import logsumexp
 
 from .diffcore import Tensor, no_grad
 from .errors import ShapeMismatchError
+from .metrics import map_row_blocks
 from .models import EnergyFunction, FlowSampler, VaeModel, decode_mean, flow_terms
 from .rng import Rng
 
@@ -19,7 +20,7 @@ WEIGHT_MODES = ("paper_literal", "tilted_base")
 @dataclass
 class SirConfig:
     proposals: int = 500  # M
-    normalizer_samples: int = 500  # N, extra draws behind the Z-hat estimate
+    normalizer_samples: int = 500  # N, draws behind the paper_literal Z-hat
     seed: int = 0
     weight_mode: str = "paper_literal"
 
@@ -52,20 +53,21 @@ def sample_fast(g: FlowSampler, m: int, seed):
         return np.zeros((0, g.nz)), counter
     rng = seed if isinstance(seed, Rng) else Rng(seed)
     with no_grad():
-        z, _ = g.forward(Tensor(rng.normal((m, g.nz))))
-    return z.data, counter
+        z = map_row_blocks(lambda eps: g.forward(Tensor(eps))[0].data, rng.normal((m, g.nz)))
+    return z, counter
 
 
-def sir_log_weights(f_vals, log_ratio, weight_mode, log_z_hat=0.0):
+def sir_log_weights(f_vals, log_ratio, weight_mode):
     """Un-normalized log importance weights for one proposal row set.
 
     ``log_ratio`` is log p_g - log p_0 of each proposal. ``paper_literal``
-    divides the tilt by the estimated normalizer, so the normalizer
-    cancels after self-normalization and the weights reduce to -f.
-    ``tilted_base`` targets exp(-f) * p_0 under the flow proposal.
+    divides the tilt by an estimated normalizer Z-hat; that is one constant
+    over a sample's proposals, so it cancels after self-normalization and
+    the weights are -f. ``tilted_base`` targets exp(-f) * p_0 under the flow
+    proposal.
     """
     if weight_mode == "paper_literal":
-        return -f_vals - log_z_hat
+        return -f_vals
     if weight_mode == "tilted_base":
         return -f_vals - log_ratio
     raise ValueError(f"weight_mode must be one of {WEIGHT_MODES}")
@@ -81,34 +83,37 @@ def resample(logw, u):
 
 
 def sample_sir_batch(f: EnergyFunction, g: FlowSampler, cfg: SirConfig, count: int):
-    """Independent SIR picks; fresh proposal and normalizer sets per output.
+    """Independent SIR picks; a fresh set of M flow proposals per output.
 
-    All weight math is in log space; per generated sample the counter
-    records M + N flow forwards and M + N energy evaluations.
+    All weight math is in log space. Per generated sample the counter
+    records the M flow forwards and M energy evaluations computed: the
+    ``paper_literal`` Z-hat cancels in ``resample``, so its N normalizer
+    draws are made but never evaluated.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     rng = Rng(cfg.seed)
     m, n = cfg.proposals, cfg.normalizer_samples
-    counter = NfeCounter(fp_flow=m + n, fp_energy=m + n, bp=0)
+    counter = NfeCounter(fp_flow=m, fp_energy=m, bp=0)
     out = np.zeros((count, g.nz))
-    # Chunk over output samples to bound the (chunk * (M + N), nz) blocks.
+    # Chunk over output samples to bound the draws; the proposals are
+    # evaluated in blocks of metrics.BLOCK_ROWS rows.
     chunk = max(1, min(count, 200000 // max(1, m + n)))
     done = 0
     while done < count:
         b = min(chunk, count - done)
+        eps = rng.normal((b * m, g.nz))
+        if cfg.weight_mode == "paper_literal":
+            # Z-hat's draws are never evaluated; drawing them keeps the
+            # seeded stream, and so every pick, unchanged.
+            rng.normal((b * n, g.nz))
         with no_grad():
-            z, fz, log_ratio = flow_terms(f, g, rng.normal((b * m, g.nz)))
-            log_z_hat = 0.0
-            if cfg.weight_mode == "paper_literal":
-                extra, _ = g.forward(Tensor(rng.normal((b * n, g.nz))))
-                f_extra = f(extra).data[:, 0].reshape(b, n)
-                log_z_hat = logsumexp(-f_extra, axis=1, keepdims=True) - np.log(n)
-        logw = sir_log_weights(
-            fz.data[:, 0].reshape(b, m), log_ratio.data.reshape(b, m), cfg.weight_mode, log_z_hat
-        )
+            z, fz, log_ratio = map_row_blocks(
+                lambda e: tuple(t.data for t in flow_terms(f, g, e)), eps
+            )
+        logw = sir_log_weights(fz.reshape(b, m), log_ratio.reshape(b, m), cfg.weight_mode)
         picks = resample(logw, rng.uniform((b, 1)))
-        out[done : done + b] = z.data.reshape(b, m, g.nz)[np.arange(b), picks]
+        out[done : done + b] = z.reshape(b, m, g.nz)[np.arange(b), picks]
         done += b
     return out, counter
 

@@ -1,5 +1,6 @@
 """CLI tests: one end-to-end pass through every command on a tiny config,
-with every file read back, and the exit code of each failure kind."""
+with every file read back, the exit code of each failure kind, and the
+batched NCE SIR of the sweep against its per-sample loop."""
 
 import csv
 import json
@@ -9,7 +10,11 @@ import pytest
 
 import evalp.errors as errors
 from evalp.app.checkpoint import load_energy, load_flow, load_vae
-from evalp.app.cli import EXIT_CODES, main
+from evalp.app.cli import EXIT_CODES, _nce_sir_sample, main
+from evalp.diffcore import Tensor, no_grad
+from evalp.models import EnergyFunction
+from evalp.rng import Rng
+from evalp.sampling import resample
 
 TINY = {
     "seed": 1,
@@ -158,3 +163,24 @@ def test_every_error_has_a_documented_exit_code():
     for cls in classes:
         codes = [code for kinds, code in EXIT_CODES if issubclass(cls, kinds)]
         assert codes and codes[0] in (2, 3, 4), cls.__name__
+
+
+def _nce_sir_loop(clf, count, proposals, seed):
+    """Reference: one classifier call and one resample per output sample."""
+    rng = Rng(seed)
+    out = np.zeros((count, clf.nz))
+    for i in range(count):
+        z = rng.normal((proposals, clf.nz))
+        with no_grad():
+            logit = clf(Tensor(z)).data[:, 0]
+        out[i] = z[resample(logit, rng.uniform(()))]
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_nce_sir_sample_is_bitwise_the_per_sample_loop(seed):
+    clf = EnergyFunction(2, 64, Rng(100 + seed))
+    for p in clf.parameters():
+        p.data = p.data * 3.0
+    got = _nce_sir_sample(clf, 64, 500, seed)
+    np.testing.assert_array_equal(got, _nce_sir_loop(clf, 64, 500, seed))

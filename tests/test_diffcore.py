@@ -19,6 +19,7 @@ from evalp.diffcore import (
 )
 from evalp.diffcore.tensor import active_tape
 from evalp.errors import DomainError, NonFiniteError, ShapeMismatchError
+from evalp.models import _ACT_NP
 from evalp.rng import Rng
 
 
@@ -26,6 +27,27 @@ class TestForwardOps:
     def test_leaky_relu_negative_slope(self):
         out = forward_op("leaky_relu", Tensor([-1.0]))
         assert out.data[0] == pytest.approx(-0.01, abs=0)
+
+    @pytest.mark.parametrize("slope", [0.01, 0.0, 0.5, 1.0])
+    def test_leaky_relu_is_bitwise_the_where_reference(self, slope):
+        x = Rng(0).normal((100, 128))
+        x[0, :6] = [0.0, -0.0, 1e-320, -1e-320, 1e300, -1e300]
+        g = Rng(1).normal(x.shape)
+        t = Tensor(x, requires_grad=True)
+        out = t.leaky_relu(slope)
+        backward((out * Tensor(g)).sum())
+        want = np.where(x > 0.0, x, slope * x)
+        np.testing.assert_array_equal(out.data.view(np.int64), want.view(np.int64))
+        want_grad = g * np.where(x > 0.0, 1.0, slope)
+        np.testing.assert_array_equal(t.grad.view(np.int64), want_grad.view(np.int64))
+        if slope == 0.01:
+            got = _ACT_NP["leaky_relu"](x)
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("slope", [-0.01, 1.5])
+    def test_leaky_relu_rejects_a_slope_outside_0_1(self, slope):
+        with pytest.raises(ValueError, match="slope"):
+            forward_op("leaky_relu", Tensor([1.0]), slope=slope)
 
     def test_matmul_identity(self):
         out = forward_op("matmul", Tensor(np.eye(2)), Tensor([[3.0], [4.0]]))

@@ -1,11 +1,19 @@
 """Sampling tests: the resampler at hand-set cdf boundaries, tilted_base
-SIR against the 2-d quadrature oracle, and the NFE counter."""
+SIR against the 2-d quadrature oracle, the NFE counter against the rows
+actually evaluated, and evaluation in row blocks against one block."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
+from evalp import metrics
+from evalp.diffcore import Tensor, no_grad
 from evalp.metrics import default_grid, quadrature_expectation
-from evalp.sampling import SirConfig, resample, sample_sir_batch
+from evalp.models import EnergyFunction, FlowSampler, default_sizes, flow_terms
+from evalp.rng import Rng
+from evalp.sampling import SirConfig, resample, sample_fast, sample_sir_batch
 from tests.test_models import linear_region_energy, perturbed_flow
 
 # Normalized weights 1/4, 1/4, 1/2: the cdf is exactly 0.25, 0.5, 1.
@@ -45,8 +53,91 @@ def test_tilted_base_sir_mean_matches_quadrature(seed):
     assert np.linalg.norm(samples.mean(axis=0) - oracle) < 0.1
 
 
-def test_nfe_counter_reads_m_plus_n_per_sample():
-    _, (samples, counter) = _tilted_base_sir(0, 5)
-    assert samples.shape == (5, 2)
-    assert (counter.fp_flow, counter.fp_energy, counter.bp) == (400, 400, 0)
-    assert counter.fp == 800
+@pytest.mark.parametrize("mode", ["tilted_base", "paper_literal"])
+def test_nfe_counter_reads_m_per_sample(mode, monkeypatch):
+    f = linear_region_energy([0.8, -0.5])
+    g = perturbed_flow(2, 8, 2, 0)
+    rows = {"flow": [], "energy": []}
+    forward, energy = FlowSampler.forward, EnergyFunction.__call__
+
+    def counted_forward(self, eps):
+        rows["flow"].append(len(eps.data))
+        return forward(self, eps)
+
+    def counted_energy(self, z):
+        rows["energy"].append(len(z.data))
+        return energy(self, z)
+
+    monkeypatch.setattr(FlowSampler, "forward", counted_forward)
+    monkeypatch.setattr(EnergyFunction, "__call__", counted_energy)
+    cfg = SirConfig(proposals=200, normalizer_samples=200, seed=0, weight_mode=mode)
+    samples, counter = sample_sir_batch(f, g, cfg, 15)
+    assert samples.shape == (15, 2)
+    assert (counter.fp_flow, counter.fp_energy, counter.bp) == (200, 200, 0)
+    assert counter.fp == 400
+    assert sum(rows["flow"]) == sum(rows["energy"]) == 15 * counter.fp_flow
+    assert max(rows["flow"]) == metrics.BLOCK_ROWS
+
+
+def _paper_literal_with_z_hat(f, g, cfg, count):
+    """Reference: one chunk of paper_literal SIR that also evaluates the N
+    normalizer draws and subtracts their log Z-hat from the weights."""
+    rng = Rng(cfg.seed)
+    m, n = cfg.proposals, cfg.normalizer_samples
+    with no_grad():
+        z, fz, _ = flow_terms(f, g, rng.normal((count * m, g.nz)))
+        extra, _ = g.forward(Tensor(rng.normal((count * n, g.nz))))
+        f_extra = f(extra).data[:, 0].reshape(count, n)
+    log_z_hat = logsumexp(-f_extra, axis=1, keepdims=True) - np.log(n)
+    picks = resample(-fz.data[:, 0].reshape(count, m) - log_z_hat, rng.uniform((count, 1)))
+    return z.data.reshape(count, m, g.nz)[np.arange(count), picks]
+
+
+def _nonlinear_models():
+    f = EnergyFunction(2, 16, Rng(1))
+    for p in f.parameters():
+        p.data = p.data * 3.0
+    return f, perturbed_flow(2, 16, 3, 2)
+
+
+@pytest.mark.parametrize("mode", ["paper_literal", "tilted_base"])
+def test_sir_in_row_blocks_matches_one_block(mode, monkeypatch):
+    f, g = _nonlinear_models()
+    cfg = SirConfig(proposals=500, normalizer_samples=300, seed=4, weight_mode=mode)
+    blocked, _ = sample_sir_batch(f, g, cfg, 40)
+    monkeypatch.setattr(metrics, "BLOCK_ROWS", 10**9)
+    whole, _ = sample_sir_batch(f, g, cfg, 40)
+    # Same picks: two distinct proposals are never within 1e-12 of each other.
+    np.testing.assert_allclose(blocked, whole, rtol=0, atol=1e-12)
+
+
+def test_fast_sampling_in_row_blocks_matches_one_block(monkeypatch):
+    _, g = _nonlinear_models()
+    blocked, _ = sample_fast(g, 5000, 7)
+    monkeypatch.setattr(metrics, "BLOCK_ROWS", 10**9)
+    whole, _ = sample_fast(g, 5000, 7)
+    np.testing.assert_allclose(blocked, whole, rtol=0, atol=1e-12)
+
+
+def test_sir_memory_is_bounded_by_the_block():
+    sizes = default_sizes(2)
+    f = EnergyFunction(2, sizes["nd"], Rng(0))
+    g = perturbed_flow(2, sizes["nh"], sizes["n_layers"], 1)
+    cfg = SirConfig(proposals=500, normalizer_samples=500, seed=0)
+    tracemalloc.start()
+    try:
+        sample_sir_batch(f, g, cfg, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One pass over all 100k proposal rows needs about 207 MB; blocks of
+    # 1024 rows about 9 MB.
+    assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_paper_literal_picks_equal_those_with_z_hat_evaluated(seed):
+    f, g = _nonlinear_models()
+    cfg = SirConfig(proposals=300, normalizer_samples=200, seed=seed)
+    got, _ = sample_sir_batch(f, g, cfg, 60)
+    np.testing.assert_allclose(got, _paper_literal_with_z_hat(f, g, cfg, 60), rtol=0, atol=1e-12)
