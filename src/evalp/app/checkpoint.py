@@ -109,8 +109,20 @@ def _build_model(ckpt: Checkpoint, kind: str, path):
     # of stored parameters. Checking that before building keeps a forged
     # header from making the loader allocate an arbitrarily large model.
     bound = max([len(ckpt.params)] + [d for a in ckpt.params.values() for d in a.shape])
-    leaves = [x for v in arch.values() for x in (v if isinstance(v, list) else [v])]
-    if not all((type(x) is int and 0 < x <= bound) or x in OBS_MODELS for x in leaves):
+
+    def size(x):
+        return type(x) is int and 0 < x <= bound
+
+    # Only a VAE's "hidden" is a list and only its "obs_model" is a name;
+    # every other value is one size.
+    def valid(key, v):
+        if key == "hidden":
+            return isinstance(v, list) and all(map(size, v))
+        if key == "obs_model":
+            return isinstance(v, str) and v in OBS_MODELS
+        return size(v)
+
+    if not all(valid(k, v) for k, v in arch.items()):
         raise CheckpointError(f"{path}: bad arch {arch!r}")
     try:
         # rng=None: an "rng" key in the header is an error, not an argument.

@@ -164,6 +164,14 @@ class TestFuzz:
         with pytest.raises(CheckpointError, match="bad arch"):
             load_energy(tmp_path / "big.ckpt")
 
+    @pytest.mark.parametrize("value", [[], [2], "gaussian"])
+    def test_non_size_in_place_of_a_size(self, tmp_path, files, value):
+        header, payload = _split(files["flow"])
+        header["config"]["arch"]["nz"] = value
+        (tmp_path / "nz.ckpt").write_bytes(_join(json.dumps(header).encode(), payload))
+        with pytest.raises(CheckpointError, match="bad arch"):
+            load_flow(tmp_path / "nz.ckpt")
+
     @fixture_settings
     @given(kind=st.sampled_from(["vae", "energy", "flow"]), data=st.data())
     def test_truncations(self, tmp_path, files, kind, data):
