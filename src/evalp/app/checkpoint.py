@@ -154,8 +154,6 @@ def load_model(path, kind: str):
                 f"{path}: parameter {name} shape {arr.shape} vs model {tensor.data.shape}"
             )
         tensor.data = arr
-    if kind == "flow":
-        model.norm_initialized = True
     return model
 
 

@@ -10,8 +10,10 @@ from .tensor import (
     clear_tape,
     concat,
     forward_op,
+    needs_grad,
     no_grad,
     op_kinds,
+    record,
 )
 
 __all__ = [
@@ -26,6 +28,8 @@ __all__ = [
     "clear_tape",
     "concat",
     "forward_op",
+    "needs_grad",
     "no_grad",
     "op_kinds",
+    "record",
 ]

@@ -64,22 +64,53 @@ def adam_step(params, grads, state: AdamState):
 
 
 class Adam:
-    """Stateful wrapper updating parameter tensors in place."""
+    """Stateful wrapper updating parameter tensors in place.
+
+    The parameters and both moments live in one concatenated vector, so a
+    step is one ``adam_step`` on the concatenated gradient. Each ``p.data``
+    is then re-bound as a view into the updated vector; a parameter whose
+    ``data`` was re-bound elsewhere since the last step is read back first.
+    """
 
     def __init__(self, params: list[Tensor], lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)
-        self.state = AdamState.init([p.data for p in self.params], lr, beta1, beta2, eps)
+        bounds = np.cumsum([0] + [p.data.size for p in self.params])
+        self._slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        self._grad = np.zeros(bounds[-1])
+        self._bind(self._gather())
+        self.state = AdamState.init([self._flat], lr, beta1, beta2, eps)
+
+    def _gather(self):
+        return np.concatenate([p.data.reshape(-1) for p in self.params])
+
+    def _bind(self, flat):
+        self._flat = flat
+        for p, sl in zip(self.params, self._slices):
+            p.data = flat[sl].reshape(p.data.shape)
+        self._views = [p.data for p in self.params]
 
     def step(self):
-        grads = []
-        for i, p in enumerate(self.params):
+        if any(p.data is not v for p, v in zip(self.params, self._views)):
+            self._bind(self._gather())
+        for i, (p, sl) in enumerate(zip(self.params, self._slices)):
             if p.grad is None:
-                grads.append(np.zeros_like(p.data))
+                self._grad[sl] = 0.0
+            elif p.grad.shape != p.data.shape:
+                raise ShapeMismatchError(
+                    f"param {i}: shape {p.data.shape} vs grad shape {p.grad.shape}"
+                )
             else:
-                grads.append(p.grad)
-        new_data, _ = adam_step([p.data for p in self.params], grads, self.state)
-        for p, d in zip(self.params, new_data):
-            p.data = d
+                self._grad[sl] = p.grad.reshape(-1)
+        try:
+            (flat,), _ = adam_step([self._flat], [self._grad], self.state)
+        except NonFiniteError:
+            bad = next(
+                i
+                for i, p in enumerate(self.params)
+                if p.grad is not None and not np.all(np.isfinite(p.grad))
+            )
+            raise NonFiniteError(f"non-finite gradient for param {bad}") from None
+        self._bind(flat)
 
     def zero_grad(self):
         for p in self.params:

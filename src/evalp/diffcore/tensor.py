@@ -7,6 +7,13 @@ appended during the forward pass it is already topologically sorted;
 into every reachable tensor, then frees it. One tape per optimization
 step keeps memory bounded; wrap pure evaluation in ``no_grad()`` so it
 records nothing.
+
+The ops below record one node each. Modules (an MLP, a whole flow pass,
+the energy's input gradient) instead compute on arrays and ``record`` one
+node for the whole call, whose pull is the module's closed-form reverse
+pass. Such a module caches the intermediates its pull needs only when the
+node is recorded; a pass outside the tape (under ``no_grad``, or with no
+input that requires grad) caches no derivatives.
 """
 
 from __future__ import annotations
@@ -23,6 +30,9 @@ __all__ = [
     "forward_op",
     "op_kinds",
     "concat",
+    "needs_grad",
+    "record",
+    "checked_exp",
 ]
 
 
@@ -193,11 +203,35 @@ def _as_tensor(x) -> Tensor:
     return Tensor(x)
 
 
+def needs_grad(parents) -> bool:
+    """Whether an op over ``parents`` is recorded: grad mode is on and at
+    least one parent requires grad."""
+    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+
+
 def _record(out: Tensor, parents, pull):
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if needs_grad(parents):
         out.requires_grad = True
         _TAPE.record(out, parents, pull)
     return out
+
+
+def record(data, parents, pull) -> Tensor:
+    """Wrap ``data`` (a finite float64 array) as the output of one custom
+    node over the tensors ``parents``, recorded when ``needs_grad(parents)``.
+
+    ``pull(g)`` returns one gradient array per parent, or None for a
+    parent that needs none.
+    """
+    return _record(Tensor._wrap(data), tuple(parents), pull)
+
+
+def checked_exp(x):
+    """np.exp that raises DomainError instead of overflowing to inf."""
+    val = np.exp(x)
+    if not np.all(np.isfinite(val)):
+        raise DomainError("exp overflow: input too large")
+    return val
 
 
 def _unbroadcast(grad, shape):
@@ -326,9 +360,7 @@ def neg(a):
 @_register("exp")
 def exp(a):
     a = _as_tensor(a)
-    val = np.exp(a.data)
-    if not np.all(np.isfinite(val)):
-        raise DomainError("exp overflow: input too large")
+    val = checked_exp(a.data)
     out = Tensor._wrap(val)
     return _record(out, (a,), lambda g: (g * val,))
 

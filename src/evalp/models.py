@@ -4,6 +4,12 @@ affine-coupling flow sampler, and the VAE encoder/decoder.
 Conventions: model inputs are (B, d) row batches of tensors; weights are
 stored (in, out) so a layer computes ``x @ W + b``. Flow forward maps
 base noise to latents; inverse maps latents back and is exact.
+
+Each module call is one tape node: ``Mlp.__call__``, each
+``FlowSampler.forward``/``inverse`` pass and ``energy_input_grad`` compute
+on arrays and record a closed-form pull over their input and parameters.
+They cache the layer inputs and activation-derivative factors only when
+the node is recorded.
 """
 
 from __future__ import annotations
@@ -12,31 +18,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffcore import Tensor, no_grad
-from .diffcore.tensor import tslice, transpose
+from .diffcore import Tensor, needs_grad, no_grad, record
+from .diffcore.tensor import checked_exp, tslice
 from .errors import ShapeMismatchError
 from .gauss import DiagGaussian, standard_normal_logpdf
 from .rng import Rng
 
-_ACT = {
-    "tanh": lambda t: t.tanh(),
-    "relu": lambda t: t.relu(),
-    "leaky_relu": lambda t: t.leaky_relu(0.01),
-    "none": None,
-}
+LEAKY_SLOPE = 0.01
 
-_ACT_NP = {
-    "tanh": np.tanh,
-    "relu": lambda x: np.maximum(x, 0.0),
-    "leaky_relu": lambda x: np.maximum(x, 0.01 * x),
-    "none": lambda x: x,
-}
-
-_ACT_DERIV_NP = {
-    "tanh": lambda x: 1.0 - np.tanh(x) ** 2,
-    "relu": lambda x: (x > 0.0).astype(np.float64),
-    "leaky_relu": lambda x: np.where(x > 0.0, 1.0, 0.01),
-    "none": lambda x: np.ones_like(x),
+# Per activation: its value from the pre-activation h, and its derivative
+# factor from h and that value. "none" is the identity and has no factor.
+_ACTIVATIONS = {
+    "tanh": (np.tanh, lambda h, a: 1.0 - a * a),
+    "relu": (lambda h: np.maximum(h, 0.0), lambda h, a: h > 0.0),
+    # For 0 <= slope <= 1, max(h, slope * h) picks the same branch as h > 0;
+    # the derivative at exactly 0 is the negative-side slope.
+    "leaky_relu": (
+        lambda h: np.maximum(h, LEAKY_SLOPE * h),
+        lambda h, a: np.where(h > 0.0, 1.0, LEAKY_SLOPE),
+    ),
+    "none": (None, None),
 }
 
 
@@ -59,7 +60,7 @@ class MlpSpec:
                 f"{len(self.widths) - 1} layers but {len(self.activations)} activations"
             )
         for a in self.activations:
-            if a not in _ACT:
+            if a not in _ACTIVATIONS:
                 raise ValueError(f"unknown activation {a!r}")
 
 
@@ -79,16 +80,61 @@ class Mlp:
             self.biases.append(Tensor(np.zeros(fan_out), requires_grad=True))
 
     def __call__(self, x: Tensor) -> Tensor:
+        """One tape node over (x, *weights, *biases)."""
         if x.shape[-1] != self.spec.widths[0]:
             raise ShapeMismatchError(
                 f"mlp input width {x.shape[-1]} vs expected {self.spec.widths[0]}"
             )
+        params = (*self.weights, *self.biases)
+        parents = (x, *params)
+        keep = needs_grad(parents)
+        out, cache = self.forward_arrays(x.data, keep)
+
+        def pull(g):
+            want_params = any(p.requires_grad for p in params)
+            gx, gw, gb = self.pull_arrays(cache, g, want_params, x.requires_grad)
+            return (gx, *gw, *gb)
+
+        return record(out, parents, pull)
+
+    def forward_arrays(self, x: np.ndarray, keep: bool):
+        """Array forward pass: returns (out, cache).
+
+        With ``keep`` the cache holds each layer's input and activation
+        derivative factor (None for "none" layers); without it the cache
+        is None and no factor is built.
+        """
+        inputs, factors = [], []
         for w, b, act in zip(self.weights, self.biases, self.spec.activations):
-            x = x @ w + b
-            f = _ACT[act]
-            if f is not None:
-                x = f(x)
-        return x
+            value, factor = _ACTIVATIONS[act]
+            if keep:
+                inputs.append(x)
+            h = x @ w.data + b.data
+            x = h if value is None else value(h)
+            if keep:
+                factors.append(None if factor is None else factor(h, x))
+        return x, ((inputs, factors) if keep else None)
+
+    def pull_arrays(self, cache, g: np.ndarray, params: bool = True, x_grad: bool = True):
+        """Reverse pass of ``forward_arrays`` from the output gradient ``g``.
+
+        Returns (input grad, weight grads, bias grads); the input grad is
+        None unless ``x_grad``, the parameter grads are None unless
+        ``params``.
+        """
+        inputs, factors = cache
+        n = len(self.weights)
+        gw, gb = [None] * n, [None] * n
+        for i in reversed(range(n)):
+            if factors[i] is not None:
+                g = g * factors[i]
+            if params:
+                gw[i] = inputs[i].T @ g
+                gb[i] = g.sum(axis=0)
+            if i == 0 and not x_grad:
+                return None, gw, gb
+            g = g @ self.weights[i].data.T
+        return g, gw, gb
 
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
@@ -149,31 +195,42 @@ class EnergyFunction:
 
 
 def energy_input_grad(f: EnergyFunction, z) -> Tensor:
-    """Analytic input gradient of the energy, as a graph over the weights.
+    """Analytic input gradient of the energy, as one tape node over the weights.
 
-    The activation-derivative masks are taken at the current point and
-    treated as constants, so backward() through the result gives the
-    parameter gradient of penalty terms built on it. For piecewise-linear
-    activations the frozen masks are exact almost everywhere.
+    The activation-derivative masks come from the energy's forward pass
+    at the current point and are treated as constants, so backward()
+    through the result gives the parameter gradient of penalty terms
+    built on it. For piecewise-linear activations the frozen masks are
+    exact almost everywhere. No gradient flows to ``z`` or the biases.
     """
     z_arr = z.data if isinstance(z, Tensor) else np.asarray(z, dtype=np.float64)
     if z_arr.shape[-1] != f.nz:
         raise ShapeMismatchError(f"energy input width {z_arr.shape[-1]} vs nz {f.nz}")
     mlp = f.mlp
-    masks = []
-    a = z_arr
-    for w, b, act in zip(mlp.weights, mlp.biases, mlp.spec.activations):
-        h = a @ w.data + b.data
-        masks.append(_ACT_DERIV_NP[act](h))
-        a = _ACT_NP[act](h)
-
-    n_layers = len(mlp.weights)
-    v = Tensor(np.ones((z_arr.shape[0], mlp.spec.widths[-1])))
+    _, (_, masks) = mlp.forward_arrays(z_arr, keep=True)
+    # Contiguous transposed copies, as the op-by-op route multiplies by: a
+    # BLAS product can differ in its last bit with the operands' layout.
+    w_t = [w.data.T.copy() for w in mlp.weights]
+    n_layers = len(w_t)
+    v = np.ones((z_arr.shape[0], mlp.spec.widths[-1]))
+    masked = [None] * n_layers
     for i in reversed(range(n_layers)):
-        if mlp.spec.activations[i] != "none":
-            v = v * Tensor(masks[i])
-        v = v @ transpose(mlp.weights[i])
-    return v
+        if masks[i] is not None:
+            v = v * masks[i]
+        masked[i] = v
+        v = v @ w_t[i]
+
+    def pull(g):
+        grads = []
+        for i in range(n_layers):
+            grads.append((masked[i].T @ g).T)
+            if i + 1 < n_layers:
+                g = g @ w_t[i].T
+                if masks[i] is not None:
+                    g = g * masks[i]
+        return grads
+
+    return record(v, mlp.weights, pull)
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +245,12 @@ class CouplingLayer:
     and translate nets read the masked vector and rewrite the complement.
     The scale output is tanh-bounded and multiplied by a learnable bound
     so exp(scale) stays well-conditioned.
+
+    The layer works on arrays: ``forward_arrays``/``inverse_arrays`` return
+    (out, logdet, cache) and ``pull_forward``/``pull_inverse`` are their
+    closed-form reverse passes, so ``FlowSampler`` records a whole pass as
+    one tape node. The coupling Jacobian is triangular, so logdet is the
+    sum of the scales and the log norm scales.
     """
 
     def __init__(self, nz: int, nh: int, parity: int, rng: Rng | None = None):
@@ -205,27 +268,71 @@ class CouplingLayer:
         )
         self.s_bound = Tensor(np.array(1.0), requires_grad=True)
 
-    def _scale_translate(self, passed: Tensor):
+    def _nets(self, y, keep):
+        """Bounded scale s and translation t from the pass-through part of y."""
+        passed = y * self.mask
         anti = 1.0 - self.mask
-        s = self.s_net(passed).tanh() * self.s_bound * anti
-        t = self.t_net(passed) * anti
-        return s, t
+        s_raw, s_cache = self.s_net.forward_arrays(passed, keep)
+        th = np.tanh(s_raw)
+        s = th * self.s_bound.data * anti
+        t_raw, t_cache = self.t_net.forward_arrays(passed, keep)
+        return s, t_raw * anti, (th, s_cache, t_cache)
 
-    def forward(self, x: Tensor):
-        y = (x + self.shift) * self.log_scale.exp()
-        passed = y * self.mask
-        s, t = self._scale_translate(passed)
-        out = y * s.exp() + t
-        logdet = s.sum(axis=-1) + self.log_scale.sum()
-        return out, logdet
+    def _nets_pull(self, cache, g_s, g_t):
+        """(y grad through the pass-through part, s_bound grad, s_net grads,
+        t_net grads) from the gradients of s and t."""
+        th, s_cache, t_cache = cache
+        anti = 1.0 - self.mask
+        g_s = g_s * anti
+        g_bound = (g_s * th).sum(axis=(0, 1))
+        g_raw = g_s * self.s_bound.data * (1.0 - th * th)
+        g_passed_t, gw_t, gb_t = self.t_net.pull_arrays(t_cache, g_t * anti)
+        g_passed_s, gw_s, gb_s = self.s_net.pull_arrays(s_cache, g_raw)
+        g_y = (g_passed_t + g_passed_s) * self.mask
+        return g_y, g_bound, _interleave(gw_s, gb_s), _interleave(gw_t, gb_t)
 
-    def inverse(self, y: Tensor):
-        passed = y * self.mask
-        s, t = self._scale_translate(passed)
-        x = (y - t) * (-s).exp()
-        x = x * (-self.log_scale).exp() - self.shift
-        logdet = -s.sum(axis=-1) - self.log_scale.sum()
-        return x, logdet
+    def forward_arrays(self, x, keep=False):
+        """y = (x + shift) exp(log_scale); out = y exp(s) + t."""
+        e = checked_exp(self.log_scale.data)
+        a = x + self.shift.data
+        y = a * e
+        s, t, nets = self._nets(y, keep)
+        es = checked_exp(s)
+        out = y * es + t
+        logdet = s.sum(axis=-1) + self.log_scale.data.sum()
+        return out, logdet, ((a, e, y, es, nets) if keep else None)
+
+    def pull_forward(self, cache, g_out, g_logdet):
+        """(x grad, parameter grads in ``parameters()`` order) of forward_arrays."""
+        a, e, y, es, nets = cache
+        g_s = g_logdet[:, None] + g_out * y * es
+        g_y, g_bound, g_s_net, g_t_net = self._nets_pull(nets, g_s, g_out)
+        g_y = g_out * es + g_y
+        g_a = g_y * e
+        g_log_scale = g_logdet.sum(axis=0) + (g_y * a).sum(axis=0) * e
+        return g_a, [g_a.sum(axis=0), g_log_scale, g_bound, *g_s_net, *g_t_net]
+
+    def inverse_arrays(self, y, keep=False):
+        """x = ((y - t) exp(-s)) exp(-log_scale) - shift."""
+        s, t, nets = self._nets(y, keep)
+        ens = checked_exp(-s)
+        d = y - t
+        x1 = d * ens
+        enl = checked_exp(-self.log_scale.data)
+        x = x1 * enl - self.shift.data
+        logdet = -s.sum(axis=-1) - self.log_scale.data.sum()
+        return x, logdet, ((ens, d, x1, enl, nets) if keep else None)
+
+    def pull_inverse(self, cache, g_x, g_logdet):
+        """(y grad, parameter grads in ``parameters()`` order) of inverse_arrays."""
+        ens, d, x1, enl, nets = cache
+        g_x1 = g_x * enl
+        g_d = g_x1 * ens
+        g_s = -g_logdet[:, None] - g_x1 * d * ens
+        g_y, g_bound, g_s_net, g_t_net = self._nets_pull(nets, g_s, -g_d)
+        g_y = g_d + g_y
+        g_log_scale = -g_logdet.sum(axis=0) - (g_x * x1).sum(axis=0) * enl
+        return g_y, [-g_x.sum(axis=0), g_log_scale, g_bound, *g_s_net, *g_t_net]
 
     def parameters(self):
         return [p for _, p in self.named_parameters()]
@@ -241,6 +348,10 @@ class CouplingLayer:
         return out
 
 
+def _interleave(weights, biases):
+    return [p for pair in zip(weights, biases) for p in pair]
+
+
 class FlowSampler:
     """Cascade of coupling layers with alternating masks over N(0, I) noise."""
 
@@ -248,30 +359,48 @@ class FlowSampler:
         self.nz = nz
         self.nh = nh
         self.layers = [CouplingLayer(nz, nh, parity=i, rng=rng) for i in range(n_layers)]
-        self.norm_initialized = False
-
-    def _check_width(self, x: Tensor, what: str):
-        if x.shape[-1] != self.nz:
-            raise ShapeMismatchError(f"{what}: width {x.shape[-1]} vs nz {self.nz}")
 
     def forward(self, eps):
         """Map base noise to latents; returns (z, per-row log |det J|)."""
-        x = eps if isinstance(eps, Tensor) else Tensor(eps)
-        self._check_width(x, "flow_forward")
-        logdet = None
-        for layer in self.layers:
-            x, ld = layer.forward(x)
-            logdet = ld if logdet is None else logdet + ld
-        return x, logdet
+        return self._pass(eps, "flow_forward", False)
 
     def inverse(self, z):
-        x = z if isinstance(z, Tensor) else Tensor(z)
-        self._check_width(x, "flow_inverse")
-        logdet = None
-        for layer in reversed(self.layers):
-            x, ld = layer.inverse(x)
+        """Map latents back to base noise; returns (eps, per-row log |det J|)."""
+        return self._pass(z, "flow_inverse", True)
+
+    def _pass(self, x, what, inverse):
+        """One pass over the layers, recorded as one node over (x, *parameters).
+
+        The node's output packs (out, logdet) into one (B, nz + 1) array;
+        the two returned tensors are slices of it.
+        """
+        x = x if isinstance(x, Tensor) else Tensor(x)
+        if x.shape[-1] != self.nz:
+            raise ShapeMismatchError(f"{what}: width {x.shape[-1]} vs nz {self.nz}")
+        params = self.parameters()
+        parents = (x, *params)
+        keep = needs_grad(parents)
+        order = list(reversed(self.layers)) if inverse else self.layers
+        out, logdet, caches = x.data, None, []
+        for layer in order:
+            run = layer.inverse_arrays if inverse else layer.forward_arrays
+            out, ld, cache = run(out, keep)
             logdet = ld if logdet is None else logdet + ld
-        return x, logdet
+            caches.append(cache)
+        if not keep:
+            return Tensor._wrap(out), Tensor._wrap(logdet)
+
+        def pull(g):
+            g_x, g_logdet = g[:, : self.nz], g[:, self.nz]
+            grads = {}
+            for layer, cache in zip(reversed(order), reversed(caches)):
+                back = layer.pull_inverse if inverse else layer.pull_forward
+                g_x, grads[layer] = back(cache, g_x, g_logdet)
+            return (g_x, *(g for layer in self.layers for g in grads[layer]))
+
+        packed = record(np.concatenate([out, logdet[:, None]], axis=1), parents, pull)
+        z = tslice(packed, 1, 0, self.nz)
+        return z, tslice(packed, 1, self.nz, self.nz + 1).sum(axis=-1)
 
     def log_pdf(self, z) -> Tensor:
         """log p(z) under the flow-pushforward of N(0, I), per row."""
@@ -280,19 +409,16 @@ class FlowSampler:
 
     def initialize_norm_inverse(self, z_batch: np.ndarray):
         """Set each norm layer so the inverse pass whitens this batch."""
-        with no_grad():
-            y = np.asarray(z_batch, dtype=np.float64)
-            for layer in reversed(self.layers):
-                passed = Tensor(y * layer.mask)
-                s, t = layer._scale_translate(passed)
-                u = (y - t.data) * np.exp(-s.data)
-                mean = u.mean(axis=0)
-                std = u.std(axis=0) + 1e-6
-                layer.log_scale.data = np.log(std)
-                layer.shift.data = mean / std
-                out, _ = layer.inverse(Tensor(y))
-                y = out.data
-        self.norm_initialized = True
+        y = np.asarray(z_batch, dtype=np.float64)
+        for layer in reversed(self.layers):
+            # With a zero norm the inverse is the coupling's alone.
+            layer.log_scale.data = np.zeros(self.nz)
+            layer.shift.data = np.zeros(self.nz)
+            u, _, _ = layer.inverse_arrays(y)
+            std = u.std(axis=0) + 1e-6
+            layer.log_scale.data = np.log(std)
+            layer.shift.data = u.mean(axis=0) / std
+            y, _, _ = layer.inverse_arrays(y)
 
     def parameters(self):
         return [p for _, p in self.named_parameters()]

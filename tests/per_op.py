@@ -1,0 +1,86 @@
+"""Per-op reference routes of the fused modules, recorded op by op.
+
+Each function computes what a fused module node computes, but through the
+generic tape ops, one node per op. They are the oracles of
+``test_fused.py`` and are not used by the package.
+"""
+
+import numpy as np
+
+from evalp.diffcore import Tensor
+from evalp.diffcore.tensor import transpose
+
+_ACT = {
+    "tanh": lambda t: t.tanh(),
+    "relu": lambda t: t.relu(),
+    "leaky_relu": lambda t: t.leaky_relu(0.01),
+    "none": lambda t: t,
+}
+
+_DERIV = {
+    "tanh": lambda h: 1.0 - np.tanh(h) ** 2,
+    "relu": lambda h: (h > 0.0).astype(np.float64),
+    "leaky_relu": lambda h: np.where(h > 0.0, 1.0, 0.01),
+    "none": None,
+}
+
+
+def mlp(net, x):
+    for w, b, act in zip(net.weights, net.biases, net.spec.activations):
+        x = _ACT[act](x @ w + b)
+    return x
+
+
+def _scale_translate(layer, passed):
+    anti = 1.0 - layer.mask
+    s = mlp(layer.s_net, passed).tanh() * layer.s_bound * anti
+    t = mlp(layer.t_net, passed) * anti
+    return s, t
+
+
+def coupling_forward(layer, x):
+    y = (x + layer.shift) * layer.log_scale.exp()
+    s, t = _scale_translate(layer, y * layer.mask)
+    out = y * s.exp() + t
+    logdet = s.sum(axis=-1) + layer.log_scale.sum()
+    return out, logdet
+
+
+def coupling_inverse(layer, y):
+    s, t = _scale_translate(layer, y * layer.mask)
+    x = (y - t) * (-s).exp()
+    x = x * (-layer.log_scale).exp() - layer.shift
+    logdet = -s.sum(axis=-1) - layer.log_scale.sum()
+    return x, logdet
+
+
+def flow_forward(g, eps):
+    x, logdet = eps, None
+    for layer in g.layers:
+        x, ld = coupling_forward(layer, x)
+        logdet = ld if logdet is None else logdet + ld
+    return x, logdet
+
+
+def flow_inverse(g, z):
+    x, logdet = z, None
+    for layer in reversed(g.layers):
+        x, ld = coupling_inverse(layer, x)
+        logdet = ld if logdet is None else logdet + ld
+    return x, logdet
+
+
+def energy_input_grad(f, z):
+    """The input gradient as a graph over the weights, masks held constant."""
+    net = f.mlp
+    masks, a = [], z
+    for w, b, act in zip(net.weights, net.biases, net.spec.activations):
+        h = a @ w.data + b.data
+        masks.append(None if _DERIV[act] is None else _DERIV[act](h))
+        a = h if _DERIV[act] is None else _ACT[act](Tensor(h)).data
+    v = Tensor(np.ones((z.shape[0], net.spec.widths[-1])))
+    for i in reversed(range(len(net.weights))):
+        if masks[i] is not None:
+            v = v * Tensor(masks[i])
+        v = v @ transpose(net.weights[i])
+    return v

@@ -19,7 +19,7 @@ from evalp.diffcore import (
 )
 from evalp.diffcore.tensor import active_tape
 from evalp.errors import DomainError, NonFiniteError, ShapeMismatchError
-from evalp.models import _ACT_NP
+from evalp.models import LEAKY_SLOPE, Mlp, MlpSpec
 from evalp.rng import Rng
 
 
@@ -40,9 +40,21 @@ class TestForwardOps:
         np.testing.assert_array_equal(out.data.view(np.int64), want.view(np.int64))
         want_grad = g * np.where(x > 0.0, 1.0, slope)
         np.testing.assert_array_equal(t.grad.view(np.int64), want_grad.view(np.int64))
-        if slope == 0.01:
-            got = _ACT_NP["leaky_relu"](x)
-            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        if slope == LEAKY_SLOPE:
+            # The fused leaky_relu layer with a 1x1 weight of 1 and a zero
+            # bias; its pre-activation is x, except that -0.0 becomes 0.0.
+            layer = Mlp(MlpSpec((1, 1), ("leaky_relu",)))
+            one = np.ones((1, 1))
+            layer.weights[0].data = one
+            col, g_col = x.reshape(-1, 1), g.reshape(-1, 1)
+            t = Tensor(col, requires_grad=True)
+            out = layer(t)
+            backward((out * Tensor(g_col)).sum())
+            h = col @ one + 0.0
+            want = np.where(h > 0.0, h, slope * h)
+            np.testing.assert_array_equal(out.data.view(np.int64), want.view(np.int64))
+            want_grad = (g_col * np.where(h > 0.0, 1.0, slope)) @ one.T
+            np.testing.assert_array_equal(t.grad.view(np.int64), want_grad.view(np.int64))
 
     @pytest.mark.parametrize("slope", [-0.01, 1.5])
     def test_leaky_relu_rejects_a_slope_outside_0_1(self, slope):
