@@ -66,10 +66,11 @@ def adam_step(params, grads, state: AdamState):
 class Adam:
     """Stateful wrapper updating parameter tensors in place.
 
-    The parameters and both moments live in one concatenated vector, so a
-    step is one ``adam_step`` on the concatenated gradient. Each ``p.data``
-    is then re-bound as a view into the updated vector; a parameter whose
-    ``data`` was re-bound elsewhere since the last step is read back first.
+    The parameters and both moments live in one concatenated vector each,
+    so a step is one ``adam_step`` on the concatenated gradient. Each
+    ``p.data`` is a view into the kept parameter vector, which a step
+    overwrites with the update. A parameter whose ``data`` was re-bound
+    elsewhere since the last step is read back first.
     """
 
     def __init__(self, params: list[Tensor], lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -110,7 +111,10 @@ class Adam:
                 if p.grad is not None and not np.all(np.isfinite(p.grad))
             )
             raise NonFiniteError(f"non-finite gradient for param {bad}") from None
-        self._bind(flat)
+        # Copied rather than re-bound: a step's result left live among that
+        # step's full-length temporaries kept the allocator from reusing
+        # their memory, and raised peak RSS.
+        self._flat[...] = flat
 
     def zero_grad(self):
         for p in self.params:
