@@ -6,19 +6,4 @@ sampler, using an alternating critic/sampler optimization. Generation is
 a single flow pass or energy-guided sampling-importance-resampling.
 """
 
-from .diffcore import Adam, AdamState, Tensor, adam_step, backward, forward_op, gradcheck, no_grad
-from .gauss import DiagGaussian, kl_to_standard, log_pdf, reparameterize, standard_normal
-from .models import (
-    CouplingLayer,
-    EnergyFunction,
-    FlowSampler,
-    Mlp,
-    MlpSpec,
-    VaeModel,
-    energy_input_grad,
-    vae_decode,
-    vae_encode,
-)
-from .rng import Rng
-
 __version__ = "0.1.0"

@@ -1,30 +1,1 @@
 """Configuration, checkpoints, CLI, and experiment drivers."""
-
-from .checkpoint import (
-    Checkpoint,
-    load_checkpoint,
-    load_energy,
-    load_flow,
-    load_vae,
-    save_checkpoint,
-    save_energy,
-    save_flow,
-    save_vae,
-)
-from .config import RunConfig, config_hash, load_config, parse_config
-
-__all__ = [
-    "Checkpoint",
-    "load_checkpoint",
-    "load_energy",
-    "load_flow",
-    "load_vae",
-    "save_checkpoint",
-    "save_energy",
-    "save_flow",
-    "save_vae",
-    "RunConfig",
-    "config_hash",
-    "load_config",
-    "parse_config",
-]

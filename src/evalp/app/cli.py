@@ -14,6 +14,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -108,10 +109,10 @@ def run_train_vae(cfg: RunConfig, out: Path) -> dict:
             snapshot = dict(e.last_good)
             for name, p in model.named_parameters():
                 p.data = snapshot[name]
-            save_vae(str(out / "vae_lastgood.ckpt"), model, stage1.seed, _plain(stage1))
+            save_vae(str(out / "vae_lastgood.ckpt"), model, stage1.seed, asdict(stage1))
         raise
     wall = time.perf_counter() - start
-    save_vae(str(out / "vae.ckpt"), model, stage1.seed, train_config=_plain(stage1))
+    save_vae(str(out / "vae.ckpt"), model, stage1.seed, train_config=asdict(stage1))
     _write_csv(
         out / "stage1_history.csv",
         ["epoch", "total", "recon", "kl"],
@@ -124,7 +125,7 @@ def run_train_vae(cfg: RunConfig, out: Path) -> dict:
         "final_kl": history[-1]["kl"],
         "epochs": stage1.epochs,
         "seed": stage1.seed,
-        "config_hash": config_hash(_plain(stage1)),
+        "config_hash": config_hash(asdict(stage1)),
         "wall_seconds": wall,
     }
     _write_json(out / "train_vae_summary.json", summary)
@@ -164,8 +165,8 @@ def run_train_prior(cfg: RunConfig, out: Path, vae_path: str) -> dict:
     start = time.perf_counter()
     f, g, history = train_prior(vae, dataset.samples, stage2)
     wall = time.perf_counter() - start
-    save_energy(str(out / "energy.ckpt"), f, stage2.seed, train_config=_plain(stage2))
-    save_flow(str(out / "flow.ckpt"), g, stage2.seed, train_config=_plain(stage2))
+    save_energy(str(out / "energy.ckpt"), f, stage2.seed, train_config=asdict(stage2))
+    save_flow(str(out / "flow.ckpt"), g, stage2.seed, train_config=asdict(stage2))
     _write_csv(
         out / "stage2_history.csv",
         ["iter", "e_q_f", "e_g_f", "kl_g_p0", "gp", "upper", "lower", "logz_est"],
@@ -186,7 +187,7 @@ def run_train_prior(cfg: RunConfig, out: Path, vae_path: str) -> dict:
         "final_logz_est": history.rows[-1].logz_est,
         "density_grids": grids,
         "seed": stage2.seed,
-        "config_hash": config_hash(_plain(stage2)),
+        "config_hash": config_hash(asdict(stage2)),
         "wall_seconds": wall,
     }
     _write_json(out / "train_prior_summary.json", summary)
@@ -253,7 +254,7 @@ def run_eval(cfg: RunConfig, out: Path, vae_path, energy_path, flow_path, n_eval
     q_agg = aggregate_posterior_sample(vae, dataset.samples, n_eval, rng.spawn())
     base = rng.normal((n_eval, vae.nz))
     flow_samples, _ = sample_fast(g, n_eval, rng.spawn())
-    sir_samples, _ = sample_sir_batch(f, g, _clone(sir, seed=rng.seed_int()), n_eval)
+    sir_samples, _ = sample_sir_batch(f, g, replace(sir, seed=rng.seed_int()), n_eval)
 
     data_ref = dataset.samples[
         rng.integers(0, len(dataset.samples), min(n_eval, len(dataset.samples)))
@@ -271,7 +272,7 @@ def run_eval(cfg: RunConfig, out: Path, vae_path, energy_path, flow_path, n_eval
         "logz_quadrature": None,
         "logz_gap": None,
         "seed": cfg.seed,
-        "config_hash": config_hash({"seed": cfg.seed, "dataset": vars(cfg.dataset)}),
+        "config_hash": config_hash(asdict(cfg)),
     }
     if vae.nz <= 3:
         est = log_z_variational_estimate(f, g, 4096, rng.seed_int())
@@ -315,9 +316,11 @@ def run_sweep_cell(args) -> dict:
     }
     try:
         seeds = RunConfig(seed=seed).derived_seeds()
-        stage1 = _clone(cfg.stage1, kl_weight=kl_weight, seed=seeds["stage1"])
-        stage2 = _clone(cfg.stage2, seed=seeds["stage2"])
+        stage1 = replace(cfg.stage1, kl_weight=kl_weight, seed=seeds["stage1"])
+        stage2 = replace(cfg.stage2, seed=seeds["stage2"])
         dataset = make_dataset(cfg.dataset.name, cfg.dataset.n, seeds["dataset"], cfg.dataset.params)
+        if min(eval_samples, len(dataset.samples)) <= dataset.dim:
+            raise ConfigError(f"sweep.eval_samples and the data rows must exceed {dataset.dim}")
 
         vae, _ = train_vae(dataset.samples, stage1)
         f, g, _ = train_prior(vae, dataset.samples, stage2)
@@ -361,20 +364,6 @@ def run_sweep_kl(cfg: RunConfig, out: Path, threads: int = 1) -> list[dict]:
     header = ["kl_weight", "seed", "fid_proxy_vae", "fid_proxy_evalp", "fid_proxy_nce", "mmd_stage1", "error"]
     _write_csv(out / "sweep_kl.csv", header, [[r[h] for h in header] for r in rows])
     return rows
-
-
-def _plain(cfg_obj) -> dict:
-    doc = dict(vars(cfg_obj))
-    for k, v in doc.items():
-        if isinstance(v, tuple):
-            doc[k] = list(v)
-    return doc
-
-
-def _clone(cfg_obj, **overrides):
-    doc = dict(vars(cfg_obj))
-    doc.update(overrides)
-    return type(cfg_obj)(**doc)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 
 import numpy as np
 
@@ -38,6 +38,10 @@ class SweepConfig:
     n_seeds: int = 3
     eval_samples: int = 512
 
+    def __post_init__(self):
+        if min(self.kl_weights, default=0) < 0 or self.n_seeds < 1:
+            raise ValueError(f"kl_weights must be >= 0 and n_seeds >= 1, got {self}")
+
 
 @dataclass
 class RunConfig:
@@ -51,6 +55,8 @@ class RunConfig:
 
     def derived_seeds(self) -> dict:
         """Per-stage seeds from the global seed, stable across runs."""
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         state = np.random.SeedSequence(self.seed).generate_state(4)
         return {
             "dataset": int(state[0]),
@@ -61,55 +67,73 @@ class RunConfig:
 
 
 def _check_keys(section: str, given: dict, allowed: set):
+    if not isinstance(given, dict):
+        raise ConfigError(f"{section} must be a JSON object, got {json.dumps(given)}")
     unknown = set(given) - allowed
     if unknown:
         raise ConfigError(f"{section}: unknown keys {sorted(unknown)} (allowed: {sorted(allowed)})")
 
 
-def _build(section, cls, given: dict, seed_default, tuple_fields=()):
-    allowed = set(cls.__dataclass_fields__)
-    _check_keys(section, given, allowed)
-    kwargs = dict(given)
-    if "seed" in allowed and "seed" not in kwargs:
-        kwargs["seed"] = seed_default
-    for tf in tuple_fields:
-        if tf in kwargs:
-            kwargs[tf] = tuple(kwargs[tf])
+def _matches(value, default) -> bool:
+    """Whether a JSON value has the type of a field's default: an int is a
+    float, a bool is neither, and a list matches item by item."""
+    if isinstance(value, bool) or isinstance(default, bool):
+        return type(value) is type(default)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    if isinstance(default, (list, tuple)):
+        return isinstance(value, list) and all(_matches(v, default[0]) for v in value)
+    return isinstance(value, type(default))
+
+
+def _typed(where: str, value, default):
+    if not _matches(value, default):
+        raise ConfigError(f"{where}: expected a value like {default!r}, got {value!r}")
+    return value
+
+
+def _build(section, cls, given: dict, seed_default):
+    fields = cls.__dataclass_fields__
+    _check_keys(section, given, set(fields))
+    kwargs = {"seed": seed_default} if "seed" in fields else {}
+    for key, value in given.items():
+        f = fields[key]
+        default = f.default_factory() if f.default is MISSING else f.default
+        _typed(f"{section}.{key}", value, default)
+        kwargs[key] = tuple(value) if isinstance(default, tuple) else value
+    if kwargs.get("seed", 0) < 0:
+        raise ConfigError(f"{section}.seed must be >= 0, got {kwargs['seed']}")
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as e:
+    except ValueError as e:
         raise ConfigError(f"{section}: {e}") from e
 
 
 def parse_config(doc: dict) -> RunConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
     _check_keys("config", doc, {"seed", "out_dir", "dataset", "stage1", "stage2", "sir", "sweep"})
-    cfg = RunConfig(seed=int(doc.get("seed", 0)), out_dir=doc.get("out_dir"))
+    cfg = RunConfig(seed=_typed("seed", doc.get("seed", 0), 0), out_dir=doc.get("out_dir"))
     seeds = cfg.derived_seeds()
 
     ds = doc.get("dataset", {})
     _check_keys("dataset", ds, {"name", "n", "params"})
-    name = ds.get("name", "gaussian_ring")
+    name = _typed("dataset.name", ds.get("name", "gaussian_ring"), "gaussian_ring")
     if name not in _DATASET_PARAMS:
         raise ConfigError(f"dataset: unknown name {name!r} (known: {sorted(_DATASET_PARAMS)})")
     params = ds.get("params", {})
     _check_keys(f"dataset.params[{name}]", params, _DATASET_PARAMS[name])
     if name == "idx" and "path" not in params:
         raise ConfigError("dataset.params: 'path' is required for idx datasets")
-    cfg.dataset = DatasetConfig(name=name, n=int(ds.get("n", 1024)), params=dict(params))
+    n = _typed("dataset.n", ds.get("n", 1024), 1024)
+    cfg.dataset = DatasetConfig(name=name, n=n, params=dict(params))
 
     if "stage1" in doc:
-        cfg.stage1 = _build(
-            "stage1", Stage1Config, doc["stage1"], seeds["stage1"], tuple_fields=("hidden",)
-        )
+        cfg.stage1 = _build("stage1", Stage1Config, doc["stage1"], seeds["stage1"])
     if "stage2" in doc:
         cfg.stage2 = _build("stage2", Stage2Config, doc["stage2"], seeds["stage2"])
     if "sir" in doc:
         cfg.sir = _build("sir", SirConfig, doc["sir"], seeds["sir"])
     if "sweep" in doc:
-        _check_keys("sweep", doc["sweep"], set(SweepConfig.__dataclass_fields__))
-        cfg.sweep = SweepConfig(**doc["sweep"])
+        cfg.sweep = _build("sweep", SweepConfig, doc["sweep"], None)
     return cfg
 
 

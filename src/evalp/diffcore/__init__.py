@@ -1,6 +1,6 @@
 """Tensors, reverse-mode autodiff, and the Adam optimizer."""
 
-from .adam import Adam, AdamState, adam_step
+from .adam import Adam
 from .gradcheck import gradcheck
 from .tensor import (
     Tape,
@@ -8,7 +8,6 @@ from .tensor import (
     active_tape,
     backward,
     clear_tape,
-    concat,
     forward_op,
     needs_grad,
     no_grad,
@@ -18,15 +17,12 @@ from .tensor import (
 
 __all__ = [
     "Adam",
-    "AdamState",
-    "adam_step",
     "gradcheck",
     "Tape",
     "Tensor",
     "active_tape",
     "backward",
     "clear_tape",
-    "concat",
     "forward_op",
     "needs_grad",
     "no_grad",

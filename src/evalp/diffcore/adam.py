@@ -1,12 +1,14 @@
-"""Adam optimizer with bias correction.
+"""Adam optimizer with bias correction, updating parameters in place.
 
-``adam_step`` is the pure functional update on raw arrays; ``Adam`` wraps
-it for lists of parameter tensors in a training loop.
+The parameters, both moments and the gradient each live in one
+concatenated vector, and each ``p.data`` is a view into the parameter
+vector. A step updates these vectors in place through two preallocated
+scratch vectors, in the evaluation order of ``m = b1*m + (1-b1)*g``,
+``v = b2*v + (1-b2)*g*g`` and ``p = p - lr*m_hat / (sqrt(v_hat) + eps)``,
+so it equals that per-parameter update bitwise.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -14,107 +16,61 @@ from ..errors import NonFiniteError, ShapeMismatchError
 from .tensor import Tensor
 
 
-@dataclass
-class AdamState:
-    """Per-parameter moments plus the shared step counter."""
-
-    m: list
-    v: list
-    t: int = 0
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    @classmethod
-    def init(cls, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        return cls(
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-            t=0,
-            lr=lr,
-            beta1=beta1,
-            beta2=beta2,
-            eps=eps,
-        )
-
-
-def adam_step(params, grads, state: AdamState):
-    """One Adam update; returns (new_params, state) with state.t advanced.
-
-    Deterministic given (params, grads, state). Rejects non-finite
-    gradients and shape mismatches.
-    """
-    if len(params) != len(grads):
-        raise ShapeMismatchError(f"{len(params)} params vs {len(grads)} grads")
-    new_params = []
-    state.t += 1
-    b1, b2, t = state.beta1, state.beta2, state.t
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if p.shape != g.shape:
-            raise ShapeMismatchError(f"param {i}: shape {p.shape} vs grad shape {g.shape}")
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteError(f"non-finite gradient for param {i}")
-        state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1.0 - b2) * g * g
-        m_hat = state.m[i] / (1.0 - b1**t)
-        v_hat = state.v[i] / (1.0 - b2**t)
-        new_params.append(p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
-    return new_params, state
-
-
 class Adam:
-    """Stateful wrapper updating parameter tensors in place.
+    """Adam over a list of parameter tensors; ``t`` counts the steps taken.
 
-    The parameters and both moments live in one concatenated vector each,
-    so a step is one ``adam_step`` on the concatenated gradient. Each
-    ``p.data`` is a view into the kept parameter vector, which a step
-    overwrites with the update. A parameter whose ``data`` was re-bound
-    elsewhere since the last step is read back first.
+    A parameter without a gradient takes a zero-gradient step. A parameter
+    whose ``data`` was re-bound elsewhere since the last step is read back
+    into the parameter vector first.
     """
 
     def __init__(self, params: list[Tensor], lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
         bounds = np.cumsum([0] + [p.data.size for p in self.params])
         self._slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-        self._grad = np.zeros(bounds[-1])
-        self._bind(self._gather())
-        self.state = AdamState.init([self._flat], lr, beta1, beta2, eps)
+        self._flat, self._m, self._v, self._grad, self._s1, self._s2 = (
+            np.zeros(bounds[-1]) for _ in range(6)
+        )
+        self._views = [self._bind(i) for i in range(len(self.params))]
 
-    def _gather(self):
-        return np.concatenate([p.data.reshape(-1) for p in self.params])
-
-    def _bind(self, flat):
-        self._flat = flat
-        for p, sl in zip(self.params, self._slices):
-            p.data = flat[sl].reshape(p.data.shape)
-        self._views = [p.data for p in self.params]
+    def _bind(self, i):
+        """Copy parameter i into the parameter vector; return its view there."""
+        p, sl = self.params[i], self._slices[i]
+        self._flat[sl] = p.data.reshape(-1)
+        p.data = self._flat[sl].reshape(p.data.shape)
+        return p.data
 
     def step(self):
-        if any(p.data is not v for p, v in zip(self.params, self._views)):
-            self._bind(self._gather())
+        g = self._grad
         for i, (p, sl) in enumerate(zip(self.params, self._slices)):
+            if p.data is not self._views[i]:
+                self._views[i] = self._bind(i)
             if p.grad is None:
-                self._grad[sl] = 0.0
+                g[sl] = 0.0
             elif p.grad.shape != p.data.shape:
-                raise ShapeMismatchError(
-                    f"param {i}: shape {p.data.shape} vs grad shape {p.grad.shape}"
-                )
+                raise ShapeMismatchError(f"param {i}: shape {p.data.shape} vs grad {p.grad.shape}")
             else:
-                self._grad[sl] = p.grad.reshape(-1)
-        try:
-            (flat,), _ = adam_step([self._flat], [self._grad], self.state)
-        except NonFiniteError:
-            bad = next(
-                i
-                for i, p in enumerate(self.params)
-                if p.grad is not None and not np.all(np.isfinite(p.grad))
-            )
-            raise NonFiniteError(f"non-finite gradient for param {bad}") from None
-        # Copied rather than re-bound: a step's result left live among that
-        # step's full-length temporaries kept the allocator from reusing
-        # their memory, and raised peak RSS.
-        self._flat[...] = flat
+                g[sl] = p.grad.reshape(-1)
+        if not np.isfinite(g).all():
+            bad = next(i for i, sl in enumerate(self._slices) if not np.isfinite(g[sl]).all())
+            raise NonFiniteError(f"non-finite gradient for param {bad}")
+        self.t += 1
+        b1, b2, m, v, s1, s2 = self.beta1, self.beta2, self._m, self._v, self._s1, self._s2
+        m *= b1
+        m += np.multiply(g, 1.0 - b1, out=s1)
+        v *= b2
+        np.multiply(g, 1.0 - b2, out=s1)
+        s1 *= g
+        v += s1
+        np.divide(m, 1.0 - b1**self.t, out=s1)
+        s1 *= self.lr
+        np.divide(v, 1.0 - b2**self.t, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += self.eps
+        s1 /= s2
+        self._flat -= s1
 
     def zero_grad(self):
         for p in self.params:

@@ -29,7 +29,6 @@ __all__ = [
     "no_grad",
     "forward_op",
     "op_kinds",
-    "concat",
     "needs_grad",
     "record",
     "checked_exp",
@@ -159,9 +158,6 @@ class Tensor:
 
     def exp(self):
         return exp(self)
-
-    def log(self):
-        return log(self)
 
     def tanh(self):
         return tanh(self)
@@ -365,15 +361,6 @@ def exp(a):
     return _record(out, (a,), lambda g: (g * val,))
 
 
-@_register("log")
-def log(a):
-    a = _as_tensor(a)
-    if np.any(a.data <= 0.0):
-        raise DomainError(f"log of non-positive value (min input {a.data.min()})")
-    out = Tensor._wrap(np.log(a.data))
-    return _record(out, (a,), lambda g: (g / a.data,))
-
-
 @_register("tanh")
 def tanh(a):
     a = _as_tensor(a)
@@ -489,19 +476,6 @@ def tmean(a, axis=None):
         return (np.broadcast_to(np.expand_dims(g, axis) / count, a.data.shape),)
 
     return _record(out, (a,), pull)
-
-
-@_register("concat")
-def concat(tensors, axis=-1):
-    tensors = [_as_tensor(t) for t in tensors]
-    out = Tensor._wrap(np.concatenate([t.data for t in tensors], axis=axis))
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def pull(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return _record(out, tuple(tensors), pull)
 
 
 @_register("slice")

@@ -10,7 +10,7 @@ class ShapeMismatchError(EvalpError):
 
 
 class DomainError(EvalpError):
-    """Input lies outside an operation's valid domain (e.g. log of x <= 0)."""
+    """Input lies outside an operation's valid domain (e.g. sqrt of x < 0)."""
 
 
 class NonFiniteError(EvalpError):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffcore import Tensor, needs_grad, no_grad, record
+from .diffcore import Tensor, needs_grad, record
 from .diffcore.tensor import checked_exp, tslice
 from .errors import ShapeMismatchError
 from .gauss import DiagGaussian, standard_normal_logpdf
@@ -503,15 +503,6 @@ def vae_decode(m: VaeModel, z) -> Tensor:
     if not isinstance(z, Tensor):
         z = Tensor(z)
     return m.decoder(z)
-
-
-def decode_mean(m: VaeModel, z: np.ndarray) -> np.ndarray:
-    """Observation-model mean of decoded latents (no noise), as an array."""
-    with no_grad():
-        out = vae_decode(m, Tensor(np.asarray(z, dtype=np.float64)))
-        if m.obs_model == "bernoulli":
-            out = out.sigmoid()
-        return out.data
 
 
 # Default sizes: image-scale latents use the wider nets, 2-d toys the

@@ -11,7 +11,7 @@ from scipy.special import logsumexp
 from .diffcore import Tensor, no_grad
 from .errors import ShapeMismatchError
 from .metrics import map_row_blocks
-from .models import EnergyFunction, FlowSampler, VaeModel, decode_mean, flow_terms
+from .models import EnergyFunction, FlowSampler, VaeModel, flow_terms, vae_decode
 from .rng import Rng
 
 WEIGHT_MODES = ("paper_literal", "tilted_base")
@@ -123,4 +123,6 @@ def generate(vae: VaeModel, latents: np.ndarray) -> np.ndarray:
     latents = np.asarray(latents, dtype=np.float64)
     if latents.shape[-1] != vae.nz:
         raise ShapeMismatchError(f"latent width {latents.shape[-1]} vs nz {vae.nz}")
-    return decode_mean(vae, latents)
+    with no_grad():
+        out = vae_decode(vae, Tensor(latents))
+        return (out.sigmoid() if vae.obs_model == "bernoulli" else out).data

@@ -8,9 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffcore import Adam, Tensor, backward, no_grad
-from .errors import DomainError, NonFiniteError, TrainingDivergedError
+from .errors import ConfigError, DomainError, NonFiniteError, TrainingDivergedError
 from .gauss import LOG_2PI, kl_to_standard, reparameterize
-from .models import VaeModel, vae_decode, vae_encode
+from .models import OBS_MODELS, VaeModel, vae_decode, vae_encode
 from .rng import Rng
 
 
@@ -32,6 +32,10 @@ class Stage1Config:
             raise ValueError(f"kl_weight must be >= 0, got {self.kl_weight}")
         if self.epochs <= 0:
             raise ValueError(f"epochs must be positive, got {self.epochs}")
+        if self.nz < 1 or min(self.hidden, default=1) < 1:
+            raise ValueError(f"nz and hidden widths must be positive, got {self.nz}, {self.hidden}")
+        if self.obs_model not in OBS_MODELS:
+            raise ValueError(f"obs_model must be one of {OBS_MODELS}, got {self.obs_model!r}")
 
 
 def observation_log_lik(m: VaeModel, params: Tensor, x: Tensor) -> Tensor:
@@ -87,6 +91,8 @@ def train_vae(data: np.ndarray, cfg: Stage1Config):
     if data.size == 0:
         raise ValueError("empty dataset")
     n, d = data.shape
+    if cfg.batch_size > n:
+        raise ConfigError(f"stage1.batch_size {cfg.batch_size} exceeds the {n} dataset rows")
     rng = Rng(cfg.seed)
     init_rng, shuffle_rng, eps_rng = rng.spawn(), rng.spawn(), rng.spawn()
     model = VaeModel(d, cfg.nz, hidden=cfg.hidden, obs_model=cfg.obs_model, rng=init_rng)

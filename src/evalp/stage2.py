@@ -5,8 +5,8 @@ to its normalizer. The flow sampler realizes the variational form of the
 log-normalizer, which turns prior learning into an alternating scheme:
 the sampler minimizes an upper-bound objective, the energy (acting as a
 critic) maximizes a gradient-penalized lower bound, five critic updates
-per sampler update by default. Also hosts the latent-flow ML baseline
-and an NCE density-ratio baseline.
+per sampler update by default. Also hosts the NCE density-ratio
+baseline that ``sweep-kl`` compares against.
 """
 
 from __future__ import annotations
@@ -231,42 +231,8 @@ def train_prior(vae, data, cfg: Stage2Config):
 
 
 # ---------------------------------------------------------------------------
-# Baselines
+# NCE baseline
 # ---------------------------------------------------------------------------
-
-
-def train_latent_flow_baseline(vae, data, cfg: Stage2Config):
-    """Maximum-likelihood flow fit of the aggregate posterior.
-
-    Same flow architecture as the tilted-prior sampler; returns
-    (flow, history). Each history row's ``"nll"`` is the mean over the
-    epoch's training minibatches of the minibatch negative log-likelihood,
-    each evaluated on fresh aggregate-posterior draws before its Adam
-    step. It is a training statistic, not a held-out NLL.
-    """
-    data = np.asarray(data, dtype=np.float64)
-    rng = Rng(cfg.seed)
-    sample_q = _qagg_source(vae, data, rng.spawn())
-    init_rng = rng.spawn()
-    sizes = default_sizes(vae.nz)
-    g = FlowSampler(vae.nz, sizes["nh"], sizes["n_layers"], init_rng)
-    g.initialize_norm_inverse(sample_q(cfg.batch_size))
-    opt = Adam(g.parameters(), lr=cfg.lr_sampler)
-    iters = max(1, data.shape[0] // cfg.batch_size)
-    history = []
-    for epoch in range(cfg.epochs):
-        nll_sum = 0.0
-        for _ in range(iters):
-            z_q = sample_q(cfg.batch_size)
-            opt.zero_grad()
-            nll = -g.log_pdf(Tensor(z_q)).mean()
-            if not np.isfinite(nll.data):
-                raise TrainingDivergedError(f"latent-flow NLL diverged ({nll.data})")
-            backward(nll)
-            opt.step()
-            nll_sum += nll.item()
-        history.append({"epoch": epoch, "nll": nll_sum / iters})
-    return g, history
 
 
 def nce_balanced_batch(sample_q, noise_rng: Rng, nz: int, batch_size: int):

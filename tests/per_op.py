@@ -1,8 +1,11 @@
-"""Per-op reference routes of the fused modules, recorded op by op.
+"""Per-op reference routes of the fused modules, recorded op by op, and
+the per-parameter Adam update.
 
-Each function computes what a fused module node computes, but through the
-generic tape ops, one node per op. They are the oracles of
-``test_fused.py`` and are not used by the package.
+Each module function computes what a fused module node computes, but
+through the generic tape ops, one node per op. ``adam_step`` is the
+textbook update on one array per parameter, which the flat, in-place
+``Adam`` must equal bitwise. They are the oracles of ``test_fused.py`` and
+are not used by the package.
 """
 
 import numpy as np
@@ -84,3 +87,16 @@ def energy_input_grad(f, z):
             v = v * Tensor(masks[i])
         v = v @ transpose(net.weights[i])
     return v
+
+
+def adam_step(params, grads, m, v, t, lr, beta1, beta2, eps):
+    """Adam step ``t`` (from 1) on lists of arrays; updates the moment lists
+    ``m`` and ``v`` in place and returns the new parameter arrays."""
+    new_params = []
+    for i, (p, g) in enumerate(zip(params, grads)):
+        m[i] = beta1 * m[i] + (1.0 - beta1) * g
+        v[i] = beta2 * v[i] + (1.0 - beta2) * g * g
+        m_hat = m[i] / (1.0 - beta1**t)
+        v_hat = v[i] / (1.0 - beta2**t)
+        new_params.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
+    return new_params

@@ -28,8 +28,11 @@ TINY = {
 def _config(tmp_path, name="config", **overrides):
     doc = json.loads(json.dumps(TINY))
     for dotted, value in overrides.items():
-        section, key = dotted.split("__")
-        doc[section][key] = value
+        *sections, key = dotted.split("__")
+        node = doc
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[key] = value
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(doc))
     return str(path)
@@ -144,6 +147,55 @@ def test_argument_range_errors_exit_2(tmp_path, trained, argv):
 
 def test_unknown_stage1_dataset_key_exits_2(tmp_path):
     assert _run(_config(tmp_path, stage1__dataset="pinwheel"), tmp_path, "train-vae") == 2
+
+
+@pytest.mark.parametrize(
+    "dotted, value",
+    [
+        ("seed", "abc"),
+        ("dataset__n", "abc"),
+        ("stage1__hidden", 5),
+        ("stage1__nz", "2"),
+        ("stage1__obs_model", "poisson"),
+        ("sweep__kl_weights", 5),
+        ("sweep__n_seeds", "x"),
+        ("seed", -1),
+        ("stage1__seed", -3),
+        ("stage1__nz", 0),
+        ("stage1__hidden", [0]),
+        ("stage1__epochs", True),
+        ("sweep__kl_weights", [-1.0, 1.0]),
+        ("dataset", 5),
+    ],
+)
+def test_config_value_of_the_wrong_type_or_range_exits_2(tmp_path, capsys, dotted, value):
+    assert _run(_config(tmp_path, **{dotted: value}), tmp_path, "train-vae") == 2
+    assert "ConfigError" in capsys.readouterr().err
+
+
+def test_stage1_batch_larger_than_the_dataset_exits_2(tmp_path, capsys):
+    cfg = _config(tmp_path, stage1__batch_size=300)
+    assert _run(cfg, tmp_path / "vae", "train-vae") == 2
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and "300" in err and "256" in err
+    assert not (tmp_path / "vae" / "vae.ckpt").exists()
+    sweep = {"kl_weights": [0.5, 2.0], "n_seeds": 1, "eval_samples": 16}
+    cfg = _config(tmp_path, "sweep", stage1__batch_size=300, sweep=sweep)
+    assert _run(cfg, tmp_path / "sweep", "sweep-kl") == 0
+    with open(tmp_path / "sweep" / "sweep_kl.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2
+    assert all(r["error"].startswith("ConfigError") and "300" in r["error"] for r in rows)
+
+
+def test_eval_config_hash_covers_the_whole_config(tmp_path, trained):
+    cfg, models = trained
+    hashes = []
+    for name, proposals in [("a", 50), ("b", 50), ("c", 51)]:
+        config = _config(tmp_path, name, sir__proposals=proposals)
+        assert _run(config, tmp_path / name, "eval", *models, "--eval-samples", "20") == 0
+        hashes.append(json.loads((tmp_path / name / "eval_report.json").read_text())["config_hash"])
+    assert hashes[0] == hashes[1] != hashes[2]
 
 
 def test_threads_only_on_sweep(tmp_path):

@@ -6,19 +6,16 @@ import pytest
 
 from evalp.diffcore import (
     Adam,
-    AdamState,
     Tensor,
-    adam_step,
     backward,
     clear_tape,
-    concat,
     forward_op,
     gradcheck,
     no_grad,
     op_kinds,
 )
 from evalp.diffcore.tensor import active_tape
-from evalp.errors import DomainError, NonFiniteError, ShapeMismatchError
+from evalp.errors import NonFiniteError, ShapeMismatchError
 from evalp.models import LEAKY_SLOPE, Mlp, MlpSpec
 from evalp.rng import Rng
 
@@ -75,10 +72,6 @@ class TestForwardOps:
         with pytest.raises(ShapeMismatchError, match=r"\(2, 3\).*\(2, 3\)"):
             forward_op("matmul", Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
-    def test_log_domain_error(self):
-        with pytest.raises(DomainError, match="non-positive"):
-            forward_op("log", Tensor([1.0, -2.0]))
-
     def test_unknown_kind(self):
         with pytest.raises(KeyError):
             forward_op("conv3d", Tensor([1.0]))
@@ -88,12 +81,10 @@ class TestForwardOps:
         b = Tensor([1.0, 2.0, 3.0])
         np.testing.assert_array_equal((a * b).data, np.tile([1.0, 2.0, 3.0], (4, 1)))
 
-    def test_concat_and_slice_roundtrip(self):
-        a, b = Tensor(np.arange(6.0).reshape(2, 3)), Tensor(np.arange(4.0).reshape(2, 2))
-        joined = concat([a, b], axis=1)
-        assert joined.shape == (2, 5)
-        back = forward_op("slice", joined, axis=1, start=0, stop=3)
-        np.testing.assert_array_equal(back.data, a.data)
+    def test_slice_picks_the_columns(self):
+        a = Tensor(np.arange(10.0).reshape(2, 5))
+        back = forward_op("slice", a, axis=1, start=0, stop=3)
+        np.testing.assert_array_equal(back.data, a.data[:, :3])
 
 
 class TestBackward:
@@ -152,7 +143,6 @@ def _op_cases(rng):
         "matmul": ([Tensor(m((3, 4))), Tensor(m((4, 2)))], {}),
         "neg": ([Tensor(m((3, 2)))], {}),
         "exp": ([Tensor(m((3, 2)) * 0.5)], {}),
-        "log": ([Tensor(np.abs(m((3, 2))) + 0.5)], {}),
         "tanh": ([Tensor(m((3, 2)))], {}),
         "relu": ([Tensor(m((3, 2)))], {}),
         "leaky_relu": ([Tensor(m((3, 2)))], {"slope": 0.01}),
@@ -163,7 +153,6 @@ def _op_cases(rng):
         "clip": ([Tensor(m((3, 2)) * 0.3)], {"lo": -1.0, "hi": 1.0}),
         "sum": ([Tensor(m((3, 2)))], {"axis": 1}),
         "mean": ([Tensor(m((3, 2)))], {"axis": 0}),
-        "concat": (None, {}),  # handled separately (list argument)
         "slice": ([Tensor(m((3, 4)))], {"axis": 1, "start": 1, "stop": 3}),
         "transpose": ([Tensor(m((3, 2)))], {}),
     }
@@ -175,17 +164,8 @@ class TestGradients:
         missing = set(op_kinds()) - set(cases)
         assert not missing, f"ops without a gradient case: {missing}"
         for kind, (inputs, params) in cases.items():
-            if kind == "concat":
-                a, b = Tensor(rng.normal((3, 2))), Tensor(rng.normal((3, 3)))
-                probe = rng.normal((3, 5))
-                err = gradcheck(lambda a, b: (concat([a, b], axis=1) * probe).sum(), [a, b])
-            else:
-                probes = [
-                    rng.normal(forward_op(kind, *inputs, **params).shape)
-                ]
-                err = gradcheck(
-                    lambda *ts: (forward_op(kind, *ts, **params) * probes[0]).sum(), inputs
-                )
+            probe = rng.normal(forward_op(kind, *inputs, **params).shape)
+            err = gradcheck(lambda *ts: (forward_op(kind, *ts, **params) * probe).sum(), inputs)
             assert err < 1e-5, f"{kind}: relative error {err}"
 
     def test_gradcheck_sum_of_squares_is_tight(self):
@@ -202,19 +182,22 @@ class TestGradients:
 
 
 class TestAdam:
+    @staticmethod
+    def _steps(p, opt, grad_of, n):
+        for _ in range(n):
+            p.grad = grad_of(p.data)
+            opt.step()
+
     def test_zero_grad_never_moves_params(self):
-        p = np.array([1.0, -2.0])
-        state = AdamState.init([p], lr=0.1)
-        for _ in range(5):
-            (p,), state = adam_step([p], [np.zeros(2)], state)
-        np.testing.assert_array_equal(p, [1.0, -2.0])
+        p = Tensor([1.0, -2.0], requires_grad=True)
+        self._steps(p, Adam([p], lr=0.1), lambda x: np.zeros(2), 5)
+        np.testing.assert_array_equal(p.data, [1.0, -2.0])
 
     def test_first_step_is_signed_learning_rate(self):
         # Bias-corrected m/sqrt(v) is the gradient sign on step one.
-        p = np.array([0.0])
-        state = AdamState.init([p], lr=0.1, eps=1e-8)
-        (p,), _ = adam_step([p], [np.ones(1)], state)
-        assert p[0] == pytest.approx(-0.1, rel=1e-7)
+        p = Tensor([0.0], requires_grad=True)
+        self._steps(p, Adam([p], lr=0.1, eps=1e-8), lambda x: np.ones(1), 1)
+        assert p.data[0] == pytest.approx(-0.1, rel=1e-7)
 
     def test_matches_scalar_reference_recurrence(self):
         # Hand-rolled Adam on f(t) = t^2 from t0 = 1.
@@ -226,40 +209,35 @@ class TestAdam:
             v = b2 * v + (1 - b2) * g * g
             theta_ref -= lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
 
-        p = np.array([1.0])
-        state = AdamState.init([p], lr=lr, beta1=b1, beta2=b2, eps=eps)
-        for _ in range(10):
-            (p,), state = adam_step([p], [2.0 * p], state)
-        assert p[0] == pytest.approx(theta_ref, abs=1e-12)
+        p = Tensor([1.0], requires_grad=True)
+        opt = Adam([p], lr=lr, beta1=b1, beta2=b2, eps=eps)
+        self._steps(p, opt, lambda x: 2.0 * x, 10)
+        assert p.data[0] == pytest.approx(theta_ref, abs=1e-12)
 
     def test_deterministic(self):
         results = []
         for _ in range(2):
-            p = np.array([0.3, -0.7])
-            state = AdamState.init([p], lr=0.01)
-            for _ in range(3):
-                (p,), state = adam_step([p], [np.array([0.5, -1.0])], state)
-            results.append(p)
+            p = Tensor([0.3, -0.7], requires_grad=True)
+            self._steps(p, Adam([p], lr=0.01), lambda x: np.array([0.5, -1.0]), 3)
+            results.append(p.data)
         np.testing.assert_array_equal(results[0], results[1])
 
     def test_rejects_non_finite_grad(self):
-        p = np.array([1.0])
-        state = AdamState.init([p])
+        p = Tensor([1.0], requires_grad=True)
         with pytest.raises(NonFiniteError):
-            adam_step([p], [np.array([np.nan])], state)
+            self._steps(p, Adam([p]), lambda x: np.array([np.nan]), 1)
 
     def test_rejects_shape_mismatch(self):
-        p = np.array([1.0, 2.0])
-        state = AdamState.init([p])
+        p = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ShapeMismatchError):
-            adam_step([p], [np.array([1.0])], state)
+            self._steps(p, Adam([p]), lambda x: np.array([1.0]), 1)
 
     def test_step_counter_increments(self):
-        p = np.array([1.0])
-        state = AdamState.init([p])
+        p = Tensor([1.0], requires_grad=True)
+        opt = Adam([p])
         for expected in (1, 2, 3):
-            _, state = adam_step([p], [np.zeros(1)], state)
-            assert state.t == expected
+            self._steps(p, opt, lambda x: np.zeros(1), 1)
+            assert opt.t == expected
 
     def test_wrapper_updates_tensors_in_place(self):
         p = Tensor([1.0], requires_grad=True)

@@ -15,10 +15,8 @@ import per_op
 import evalp.stage2 as stage2
 from evalp.diffcore import (
     Adam,
-    AdamState,
     Tensor,
     active_tape,
-    adam_step,
     backward,
     clear_tape,
     gradcheck,
@@ -296,7 +294,7 @@ class TestFlatAdam:
         params = self._params(0)
         arrays = [p.data.copy() for p in params]
         opt = Adam(params, lr=0.01, beta1=0.5, beta2=0.9)
-        state = AdamState.init(arrays, lr=0.01, beta1=0.5, beta2=0.9)
+        m, v = [np.zeros_like(a) for a in arrays], [np.zeros_like(a) for a in arrays]
         rng = Rng(1)
         for step in range(50):
             grads = [rng.normal(a.shape) for a in arrays]
@@ -307,10 +305,10 @@ class TestFlatAdam:
                 params[2].grad = None
                 grads[2] = np.zeros(())
             opt.step()
-            arrays, state = adam_step(arrays, grads, state)
+            arrays = per_op.adam_step(arrays, grads, m, v, step + 1, 0.01, 0.5, 0.9, 1e-8)
         for p, a in zip(params, arrays):
             _assert_bitwise(p.data, a, "parameter")
-        assert opt.state.t == 50
+        assert opt.t == 50
 
     def test_non_finite_gradient_names_the_parameter(self):
         params = self._params(2)
