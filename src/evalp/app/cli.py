@@ -18,8 +18,6 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import cdist
-from scipy.special import logsumexp
 
 from ..data import make_dataset
 from ..diffcore import Tensor, no_grad
@@ -41,6 +39,7 @@ from ..metrics import (
     frechet_gaussian,
     map_row_blocks,
     mmd_rbf,
+    qagg_log_kde,
     quadrature_log_z,
     tilted_log_density,
 )
@@ -134,16 +133,8 @@ def run_train_vae(cfg: RunConfig, out: Path) -> dict:
 
 def _export_density_grids(out: Path, vae, f, g, data, seeds):
     grid = GridSpec((-4.0, -4.0), (4.0, 4.0), EXPORT_GRID_POINTS)
-    q_samples = aggregate_posterior_sample(vae, data, 2000, seeds["sir"])
-    bw = max(1e-3, float(q_samples.std()) * len(q_samples) ** (-1.0 / 6.0))
+    qagg_kde = qagg_log_kde(aggregate_posterior_sample(vae, data, 2000, seeds["sir"]))
     tilted = tilted_log_density(f)
-
-    def qagg_kde(z):
-        d2 = cdist(z, q_samples, "sqeuclidean")
-        return logsumexp(-d2 / (2 * bw**2), axis=1) - np.log(len(q_samples)) - np.log(
-            2 * np.pi * bw**2
-        )
-
     with no_grad():
         log_z = quadrature_log_z(f, default_grid(2, points=EXPORT_GRID_POINTS))
         names = {
@@ -152,8 +143,13 @@ def _export_density_grids(out: Path, vae, f, g, data, seeds):
             "grid_flow_density.csv": lambda z: g.log_pdf(Tensor(z)).data,
             "grid_qagg_kde.csv": qagg_kde,
         }
+        # The bytes csv.writer gives, with the shared (x, y) text formatted once.
+        prefixes = [f"{x!r},{y!r}," for x, y in grid.mesh().tolist()]
         for fname, fn in names.items():
-            _write_csv(out / fname, ["x", "y", "log_density"], density_grid(fn, grid))
+            rows = density_grid(fn, grid)
+            with open(out / fname, "w", newline="") as fh:
+                fh.write("x,y,log_density\r\n")
+                fh.writelines([f"{p}{v!r}\r\n" for p, (_, _, v) in zip(prefixes, rows)])
     return sorted(names)
 
 

@@ -17,11 +17,12 @@ from ..sampling import SirConfig
 from ..stage1 import Stage1Config
 from ..stage2 import Stage2Config
 
+# Per dataset, each parameter with a value of its type (the generator's default).
 _DATASET_PARAMS = {
-    "gaussian_ring": {"modes", "radius", "sigma"},
-    "checkerboard": set(),
-    "pinwheel": {"arms"},
-    "idx": {"path"},
+    "gaussian_ring": {"modes": 8, "radius": 2.0, "sigma": 0.1},
+    "checkerboard": {},
+    "pinwheel": {"arms": 5},
+    "idx": {"path": ""},
 }
 
 
@@ -111,7 +112,8 @@ def _build(section, cls, given: dict, seed_default):
 
 def parse_config(doc: dict) -> RunConfig:
     _check_keys("config", doc, {"seed", "out_dir", "dataset", "stage1", "stage2", "sir", "sweep"})
-    cfg = RunConfig(seed=_typed("seed", doc.get("seed", 0), 0), out_dir=doc.get("out_dir"))
+    out_dir = None if doc.get("out_dir") is None else _typed("out_dir", doc["out_dir"], "")
+    cfg = RunConfig(seed=_typed("seed", doc.get("seed", 0), 0), out_dir=out_dir)
     seeds = cfg.derived_seeds()
 
     ds = doc.get("dataset", {})
@@ -120,7 +122,9 @@ def parse_config(doc: dict) -> RunConfig:
     if name not in _DATASET_PARAMS:
         raise ConfigError(f"dataset: unknown name {name!r} (known: {sorted(_DATASET_PARAMS)})")
     params = ds.get("params", {})
-    _check_keys(f"dataset.params[{name}]", params, _DATASET_PARAMS[name])
+    _check_keys(f"dataset.params[{name}]", params, set(_DATASET_PARAMS[name]))
+    for key, value in params.items():
+        _typed(f"dataset.params.{key}", value, _DATASET_PARAMS[name][key])
     if name == "idx" and "path" not in params:
         raise ConfigError("dataset.params: 'path' is required for idx datasets")
     n = _typed("dataset.n", ds.get("n", 1024), 1024)

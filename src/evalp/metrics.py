@@ -237,6 +237,23 @@ def quadrature_expectation(f, h, grid: GridSpec) -> np.ndarray:
     return (w[:, None] * hv).sum(axis=0)
 
 
+def qagg_log_kde(q_samples: np.ndarray):
+    """Rows -> log Gaussian KDE of aggregate-posterior draws ``q_samples``, bandwidth
+    max(1e-3, std * n^(-1/6)); log-sum-exp in place on each call's distance buffer."""
+    n, dim = q_samples.shape
+    bw2 = max(1e-3, float(q_samples.std()) * n ** (-1.0 / 6.0)) ** 2
+    log_norm = np.log(n) + 0.5 * dim * np.log(2 * np.pi * bw2)
+
+    def log_density(z):
+        a = cdist(z, q_samples, "sqeuclidean")
+        a /= -2.0 * bw2
+        peak = a.max(axis=1, keepdims=True)
+        a -= peak
+        return np.log(np.exp(a, out=a).sum(axis=1)) + peak[:, 0] - log_norm
+
+    return log_density
+
+
 def density_grid(log_density, grid: GridSpec) -> list:
     """(x, y, log_density) rows of a 2-d grid, row-major over ``grid.axes()``
     (x outer); ``log_density`` maps each chunk of rows to one value per row."""

@@ -28,6 +28,8 @@ class Stage1Config:
     def __post_init__(self):
         if self.batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
+        if self.learning_rate <= 0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.kl_weight < 0:
             raise ValueError(f"kl_weight must be >= 0, got {self.kl_weight}")
         if self.epochs <= 0:

@@ -43,6 +43,8 @@ class Stage2Config:
             )
         if self.batch_size <= 0 or self.epochs <= 0:
             raise ValueError("batch_size and epochs must be positive")
+        if self.lr_energy <= 0 or self.lr_sampler <= 0:
+            raise ValueError(f"learning rates must be > 0, got {self.lr_energy}, {self.lr_sampler}")
 
 
 @dataclass

@@ -166,6 +166,12 @@ def test_unknown_stage1_dataset_key_exits_2(tmp_path):
         ("stage1__epochs", True),
         ("sweep__kl_weights", [-1.0, 1.0]),
         ("dataset", 5),
+        ("out_dir", 5),
+        ("stage1__learning_rate", -0.01),
+        ("stage2__lr_energy", 0.0),
+        ("stage2__lr_sampler", -1e-4),
+        ("dataset__params__radius", "x"),
+        ("dataset__params__modes", 2.5),
     ],
 )
 def test_config_value_of_the_wrong_type_or_range_exits_2(tmp_path, capsys, dotted, value):
