@@ -17,7 +17,7 @@ from ..sampling import SirConfig
 from ..stage1 import Stage1Config
 from ..stage2 import Stage2Config
 
-# Per dataset, each parameter with a value of its type (the generator's default).
+# Per dataset, each parameter with a value of its type (the generator's default if it has one).
 _DATASET_PARAMS = {
     "gaussian_ring": {"modes": 8, "radius": 2.0, "sigma": 0.1},
     "checkerboard": {},
