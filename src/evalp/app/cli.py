@@ -17,8 +17,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
 from pathlib import Path
 
-import numpy as np
-
 from ..data import make_dataset
 from ..diffcore import Tensor, no_grad
 from ..errors import (
@@ -37,7 +35,6 @@ from ..metrics import (
     default_grid,
     density_grid,
     frechet_gaussian,
-    map_row_blocks,
     mmd_rbf,
     qagg_log_kde,
     quadrature_log_z,
@@ -45,7 +42,7 @@ from ..metrics import (
 )
 from ..models import VaeModel
 from ..rng import Rng
-from ..sampling import SirConfig, generate, resample, sample_fast, sample_sir_batch
+from ..sampling import SirConfig, generate, sample_fast, sample_sir_batch, sir_sample
 from ..stage1 import aggregate_posterior_sample, train_vae
 from ..stage2 import log_z_variational_estimate, train_nce_ratio_baseline, train_prior
 from .checkpoint import load_energy, load_flow, load_vae, save_energy, save_flow, save_vae
@@ -146,10 +143,10 @@ def _export_density_grids(out: Path, vae, f, g, data, seeds):
         # The bytes csv.writer gives, with the shared (x, y) text formatted once.
         prefixes = [f"{x!r},{y!r}," for x, y in grid.mesh().tolist()]
         for fname, fn in names.items():
-            rows = density_grid(fn, grid)
+            values = density_grid(fn, grid).tolist()
             with open(out / fname, "w", newline="") as fh:
                 fh.write("x,y,log_density\r\n")
-                fh.writelines([f"{p}{v!r}\r\n" for p, (_, _, v) in zip(prefixes, rows)])
+                fh.writelines([f"{p}{v!r}\r\n" for p, v in zip(prefixes, values)])
     return sorted(names)
 
 
@@ -228,7 +225,6 @@ def run_sample(cfg: RunConfig, out: Path, vae_path, energy_path, flow_path, mode
         "wall_seconds": wall,
         "seed": sir.seed,
         "proposals": sir.proposals if mode == "sir" else None,
-        "normalizer_samples": sir.normalizer_samples if mode == "sir" else None,
     }
     _write_json(out / "sample_report.json", report)
     return report
@@ -285,19 +281,6 @@ def run_eval(cfg: RunConfig, out: Path, vae_path, energy_path, flow_path, n_eval
 # ---------------------------------------------------------------------------
 
 
-def _nce_sir_sample(clf, count, proposals, seed):
-    """SIR over N(0, I) proposals with weights proportional to exp(logit)."""
-    rng = Rng(seed)
-    z = np.zeros((count, proposals, clf.nz))
-    u = np.zeros((count, 1))
-    for i in range(count):  # per sample: its proposals, then its uniform
-        z[i] = rng.normal((proposals, clf.nz))
-        u[i] = rng.uniform(())
-    with no_grad():
-        logit = map_row_blocks(lambda rows: clf(Tensor(rows)).data[:, 0], z.reshape(-1, clf.nz))
-    return z[np.arange(count), resample(logit.reshape(count, proposals), u)]
-
-
 def run_sweep_cell(args) -> dict:
     """One (kl_weight, seed) cell of the sweep; returns a CSV row dict."""
     cfg, kl_weight, seed, eval_samples = args
@@ -328,7 +311,10 @@ def run_sweep_cell(args) -> dict:
         ]
         base = rng.normal((eval_samples, vae.nz))
         flow_samples, _ = sample_fast(g, eval_samples, rng.spawn())
-        nce_samples = _nce_sir_sample(clf, eval_samples, 500, rng.seed_int())
+        # NCE prior: SIR over N(0, I) proposals weighted by exp(logit).
+        nce_samples = sir_sample(
+            lambda e: (e, clf(Tensor(e)).data[:, 0]), vae.nz, 500, eval_samples, rng.seed_int()
+        )
         q_agg = aggregate_posterior_sample(vae, dataset.samples, eval_samples, rng.spawn())
 
         row["fid_proxy_vae"] = frechet_gaussian(data_ref, generate(vae, base))
@@ -341,6 +327,8 @@ def run_sweep_cell(args) -> dict:
 
 
 def run_sweep_kl(cfg: RunConfig, out: Path, threads: int = 1) -> list[dict]:
+    if threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {threads}")
     stage1 = _require(cfg, "stage1")
     _require(cfg, "stage2")
     sweep = cfg.sweep
@@ -353,7 +341,8 @@ def run_sweep_kl(cfg: RunConfig, out: Path, threads: int = 1) -> list[dict]:
         for i in range(sweep.n_seeds)
     ]
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # Workers start at the first submit, so never more than the cells.
+        with ProcessPoolExecutor(max_workers=min(threads, len(cells))) as pool:
             rows = list(pool.map(run_sweep_cell, cells))
     else:
         rows = [run_sweep_cell(c) for c in cells]

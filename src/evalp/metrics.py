@@ -254,13 +254,11 @@ def qagg_log_kde(q_samples: np.ndarray):
     return log_density
 
 
-def density_grid(log_density, grid: GridSpec) -> list:
-    """(x, y, log_density) rows of a 2-d grid, row-major over ``grid.axes()``
-    (x outer); ``log_density`` maps each chunk of rows to one value per row."""
+def density_grid(log_density, grid: GridSpec) -> np.ndarray:
+    """``log_density`` at each node of ``grid.mesh()``, a 2-d grid row-major
+    over ``grid.axes()`` (x outer); it maps each chunk of rows to one value per row."""
     if grid.dim != 2:
         raise ValueError(f"density_grid needs dim == 2, got {grid.dim}")
-    mesh = grid.mesh()
-    vals = map_row_blocks(
-        lambda z: np.asarray(log_density(z), dtype=np.float64).reshape(len(z)), mesh
+    return map_row_blocks(
+        lambda z: np.asarray(log_density(z), dtype=np.float64).reshape(len(z)), grid.mesh()
     )
-    return np.column_stack([mesh, vals]).tolist()

@@ -1,5 +1,6 @@
-"""Test-time generation: one-pass flow sampling, energy-guided
-sampling-importance-resampling, decoding, and NFE accounting."""
+"""Test-time generation: one-pass flow sampling, the one
+sampling-importance-resampling loop (energy-guided over flow proposals,
+or any caller's weights over N(0, I) noise), decoding, and NFE accounting."""
 
 from __future__ import annotations
 
@@ -20,13 +21,12 @@ WEIGHT_MODES = ("paper_literal", "tilted_base")
 @dataclass
 class SirConfig:
     proposals: int = 500  # M
-    normalizer_samples: int = 500  # N, draws behind the paper_literal Z-hat
     seed: int = 0
     weight_mode: str = "paper_literal"
 
     def __post_init__(self):
-        if self.proposals < 1 or self.normalizer_samples < 1:
-            raise ValueError("proposal and normalizer counts must be >= 1")
+        if self.proposals < 1:
+            raise ValueError(f"proposals must be >= 1, got {self.proposals}")
         if self.weight_mode not in WEIGHT_MODES:
             raise ValueError(f"weight_mode must be one of {WEIGHT_MODES}")
 
@@ -82,40 +82,45 @@ def resample(logw, u):
     return (cdf < u).sum(axis=-1).clip(0, logw.shape[-1] - 1)
 
 
-def sample_sir_batch(f: EnergyFunction, g: FlowSampler, cfg: SirConfig, count: int):
-    """Independent SIR picks; a fresh set of M flow proposals per output.
+def sir_sample(propose, nz: int, proposals: int, count: int, seed):
+    """``count`` independent SIR picks, each among its own ``proposals`` rows.
 
-    All weight math is in log space. Per generated sample the counter
-    records the M flow forwards and M energy evaluations computed: the
-    ``paper_literal`` Z-hat cancels in ``resample``, so its N normalizer
-    draws are made but never evaluated.
+    Per chunk of picks the loop draws the N(0, I) noise rows, then one
+    uniform per pick. ``propose`` maps each block of metrics.BLOCK_ROWS
+    noise rows to (latents, un-normalized log weights), one per row; it
+    runs under no_grad, and ``resample`` picks in log space.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    rng = Rng(cfg.seed)
-    m, n = cfg.proposals, cfg.normalizer_samples
-    counter = NfeCounter(fp_flow=m, fp_energy=m, bp=0)
-    out = np.zeros((count, g.nz))
-    # Chunk over output samples to bound the draws; the proposals are
-    # evaluated in blocks of metrics.BLOCK_ROWS rows.
-    chunk = max(1, min(count, 200000 // max(1, m + n)))
+    rng = Rng(seed)
+    out = np.zeros((count, nz))
+    # At most 200 000 noise rows per chunk bound the draws.
+    chunk = max(1, min(count, 200000 // proposals))
     done = 0
     while done < count:
         b = min(chunk, count - done)
-        eps = rng.normal((b * m, g.nz))
-        if cfg.weight_mode == "paper_literal":
-            # Z-hat's draws are never evaluated; drawing them keeps the
-            # seeded stream, and so every pick, unchanged.
-            rng.normal((b * n, g.nz))
+        eps = rng.normal((b * proposals, nz))
         with no_grad():
-            z, fz, log_ratio = map_row_blocks(
-                lambda e: tuple(t.data for t in flow_terms(f, g, e)), eps
-            )
-        logw = sir_log_weights(fz.reshape(b, m), log_ratio.reshape(b, m), cfg.weight_mode)
-        picks = resample(logw, rng.uniform((b, 1)))
-        out[done : done + b] = z.reshape(b, m, g.nz)[np.arange(b), picks]
+            z, logw = map_row_blocks(propose, eps)
+        picks = resample(logw.reshape(b, proposals), rng.uniform((b, 1)))
+        out[done : done + b] = z.reshape(b, proposals, nz)[np.arange(b), picks]
         done += b
-    return out, counter
+    return out
+
+
+def sample_sir_batch(f: EnergyFunction, g: FlowSampler, cfg: SirConfig, count: int):
+    """Energy-guided SIR: ``sir_sample`` over M flow proposals per output,
+    weighted by ``sir_log_weights``. Per generated sample the counter
+    records the M flow forwards and M energy evaluations; the
+    ``paper_literal`` Z-hat cancels in ``resample``, so it is never drawn.
+    """
+
+    def propose(eps):
+        z, fz, log_ratio = flow_terms(f, g, eps)
+        return z.data, sir_log_weights(fz.data[:, 0], log_ratio.data, cfg.weight_mode)
+
+    m = cfg.proposals
+    return sir_sample(propose, g.nz, m, count, cfg.seed), NfeCounter(fp_flow=m, fp_energy=m, bp=0)
 
 
 def generate(vae: VaeModel, latents: np.ndarray) -> np.ndarray:

@@ -1,27 +1,32 @@
 """CLI tests: one end-to-end pass through every command on a tiny config,
-with every file read back, the exit code of each failure kind, and the
-batched NCE SIR of the sweep against its per-sample loop."""
+with every file read back, the exit code of each failure kind, the sweep's
+worker count, and the sweep's NCE SIR against the closed-form linear tilt
+and in row blocks against one block."""
 
 import csv
 import json
+from collections import defaultdict
 
 import numpy as np
 import pytest
 
+import evalp.app.cli as cli
 import evalp.errors as errors
+from evalp import metrics
 from evalp.app.checkpoint import load_energy, load_flow, load_vae
-from evalp.app.cli import EXIT_CODES, _nce_sir_sample, main
-from evalp.diffcore import Tensor, no_grad
-from evalp.models import EnergyFunction
+from evalp.app.cli import EXIT_CODES, main
+from evalp.app.config import parse_config
+from evalp.models import EnergyFunction, FlowSampler, VaeModel
 from evalp.rng import Rng
-from evalp.sampling import resample
+from evalp.sampling import sir_sample
+from tests.test_models import linear_region_energy
 
 TINY = {
     "seed": 1,
     "dataset": {"name": "gaussian_ring", "n": 256},
     "stage1": {"nz": 2, "epochs": 3},
     "stage2": {"epochs": 1},
-    "sir": {"proposals": 50, "normalizer_samples": 50},
+    "sir": {"proposals": 50},
 }
 
 
@@ -172,6 +177,7 @@ def test_unknown_stage1_dataset_key_exits_2(tmp_path):
         ("stage2__lr_sampler", -1e-4),
         ("dataset__params__radius", "x"),
         ("dataset__params__modes", 2.5),
+        ("sir__normalizer_samples", 50),
     ],
 )
 def test_config_value_of_the_wrong_type_or_range_exits_2(tmp_path, capsys, dotted, value):
@@ -223,22 +229,81 @@ def test_every_error_has_a_documented_exit_code():
         assert codes and codes[0] in (2, 3, 4), cls.__name__
 
 
-def _nce_sir_loop(clf, count, proposals, seed):
-    """Reference: one classifier call and one resample per output sample."""
-    rng = Rng(seed)
-    out = np.zeros((count, clf.nz))
-    for i in range(count):
-        z = rng.normal((proposals, clf.nz))
-        with no_grad():
-            logit = clf(Tensor(z)).data[:, 0]
-        out[i] = z[resample(logit, rng.uniform(()))]
-    return out
+SWEEP = {"kl_weights": [0.5, 2.0], "n_seeds": 1, "eval_samples": 16}
+
+
+@pytest.fixture
+def pool_workers(monkeypatch):
+    """The max_workers of each pool the sweep opens; the pool runs the
+    (stubbed) cells serially and forks nothing."""
+    workers = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli, "run_sweep_cell", lambda a: defaultdict(str, kl_weight=a[1], seed=a[2]))
+    return workers
+
+
+def test_sweep_workers_are_capped_by_the_cells(tmp_path, pool_workers):
+    assert _run(_config(tmp_path, sweep=SWEEP), tmp_path, "sweep-kl", "--threads", "5000") == 0
+    assert pool_workers == [2]
+    with open(tmp_path / "sweep_kl.csv", newline="") as fh:
+        assert [r["kl_weight"] for r in csv.DictReader(fh)] == ["0.5", "2.0"]
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_sweep_threads_below_1_exit_2(tmp_path, capsys, pool_workers, threads):
+    assert _run(_config(tmp_path, sweep=SWEEP), tmp_path, "sweep-kl", "--threads", threads) == 2
+    assert "ConfigError" in capsys.readouterr().err
+    assert pool_workers == [] and not (tmp_path / "sweep_kl.csv").exists()
+
+
+def _sweep_nce_samples(monkeypatch, clf, seed, eval_samples):
+    """The NCE SIR picks of one sweep cell, with fixed stage-1 and stage-2
+    models and ``clf`` in place of the trained NCE classifier."""
+    vae = VaeModel(2, 2, (8, 8), rng=Rng(1))
+    monkeypatch.setattr(cli, "train_vae", lambda data, cfg: (vae, []))
+    monkeypatch.setattr(cli, "train_prior", lambda *a: (None, FlowSampler(2, 8, 2, Rng(3)), None))
+    monkeypatch.setattr(cli, "train_nce_ratio_baseline", lambda *a: (clf, []))
+    picks = []
+
+    def recorded(*args):
+        picks.append(sir_sample(*args))
+        return picks[-1]
+
+    monkeypatch.setattr(cli, "sir_sample", recorded)
+    row = cli.run_sweep_cell((parse_config(TINY), 1.0, seed, eval_samples))
+    assert row["error"] == "" and len(picks) == 1
+    return picks[0]
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_nce_sir_sample_is_bitwise_the_per_sample_loop(seed):
-    clf = EnergyFunction(2, 64, Rng(100 + seed))
+def test_sweep_nce_sir_samples_the_linear_tilt(monkeypatch, seed):
+    # A logit w.z + c over N(0, I) proposals targets exactly N(w, I).
+    w = np.array([0.8, -0.5])
+    samples = _sweep_nce_samples(monkeypatch, linear_region_energy(w), seed, 1000)
+    assert samples.shape == (1000, 2)
+    assert np.linalg.norm(samples.mean(axis=0) - w) < 0.1
+
+
+def test_sweep_nce_sir_in_row_blocks_matches_one_block(monkeypatch):
+    clf = EnergyFunction(2, 64, Rng(100))
     for p in clf.parameters():
         p.data = p.data * 3.0
-    got = _nce_sir_sample(clf, 64, 500, seed)
-    np.testing.assert_array_equal(got, _nce_sir_loop(clf, 64, 500, seed))
+    blocked = _sweep_nce_samples(monkeypatch, clf, 0, 64)
+    monkeypatch.setattr(metrics, "BLOCK_ROWS", 10**9)
+    whole = _sweep_nce_samples(monkeypatch, clf, 0, 64)
+    # Same picks: two distinct proposals are never within 1e-12 of each other.
+    np.testing.assert_allclose(blocked, whole, rtol=0, atol=1e-12)

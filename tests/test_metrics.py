@@ -36,12 +36,13 @@ EXPORT_GRIDS = [
 
 def test_density_grid_rows_are_row_major_over_the_axes():
     grid = GridSpec((-1.0, 2.0), (3.0, 5.0), 17)
-    rows = np.array(density_grid(lambda z: z[:, 0] * 10.0 + z[:, 1], grid))
+    values = density_grid(lambda z: z[:, 0] * 10.0 + z[:, 1], grid)
+    mesh = grid.mesh()
     xs, ys = grid.axes()
-    assert rows.shape == (17 * 17, 3)
-    np.testing.assert_array_equal(rows[:, 0], np.repeat(xs, 17))
-    np.testing.assert_array_equal(rows[:, 1], np.tile(ys, 17))
-    np.testing.assert_array_equal(rows[:, 2], rows[:, 0] * 10.0 + rows[:, 1])
+    assert values.shape == (17 * 17,)
+    np.testing.assert_array_equal(mesh[:, 0], np.repeat(xs, 17))
+    np.testing.assert_array_equal(mesh[:, 1], np.tile(ys, 17))
+    np.testing.assert_array_equal(values, mesh[:, 0] * 10.0 + mesh[:, 1])
 
 
 def test_density_grid_needs_two_dimensions():
@@ -91,8 +92,8 @@ def test_export_writes_the_csv_writer_bytes_with_shared_xy_text(tmp_path, ring_d
     grids = []
 
     def recorded(fn, grid):
-        grids.append(density_grid(fn, grid))
-        return grids[-1]
+        grids.append((grid.mesh(), density_grid(fn, grid)))
+        return grids[-1][1]
 
     monkeypatch.setattr(cli, "density_grid", recorded)
     vae = VaeModel(2, 2, (8, 8), rng=Rng(1))
@@ -101,11 +102,11 @@ def test_export_writes_the_csv_writer_bytes_with_shared_xy_text(tmp_path, ring_d
     assert len(grids) == len(names) == 4
 
     oracles = []
-    for rows in grids:
+    for mesh, values in grids:
         buf = io.StringIO(newline="")
         writer = csv.writer(buf)
         writer.writerow(["x", "y", "log_density"])
-        writer.writerows(rows)
+        writer.writerows([[x, y, v] for (x, y), v in zip(mesh.tolist(), values.tolist())])
         oracles.append(buf.getvalue().encode())
     files = [(tmp_path / name).read_bytes() for name in names]
     assert sorted(files) == sorted(oracles)

@@ -1,6 +1,7 @@
 """Sampling tests: the resampler at hand-set cdf boundaries, tilted_base
 SIR against the 2-d quadrature oracle, the NFE counter against the rows
-actually evaluated, and evaluation in row blocks against one block."""
+actually evaluated, evaluation in row blocks against one block, and the
+paper_literal picks against a reference that evaluates Z-hat."""
 
 import tracemalloc
 
@@ -42,7 +43,7 @@ def test_resample_rows_are_independent():
 def _tilted_base_sir(seed, count):
     f = linear_region_energy([0.8, -0.5])
     g = perturbed_flow(2, 8, 2, 0)
-    cfg = SirConfig(proposals=200, normalizer_samples=200, seed=seed, weight_mode="tilted_base")
+    cfg = SirConfig(proposals=200, seed=seed, weight_mode="tilted_base")
     return f, sample_sir_batch(f, g, cfg, count)
 
 
@@ -70,7 +71,7 @@ def test_nfe_counter_reads_m_per_sample(mode, monkeypatch):
 
     monkeypatch.setattr(FlowSampler, "forward", counted_forward)
     monkeypatch.setattr(EnergyFunction, "__call__", counted_energy)
-    cfg = SirConfig(proposals=200, normalizer_samples=200, seed=0, weight_mode=mode)
+    cfg = SirConfig(proposals=200, seed=0, weight_mode=mode)
     samples, counter = sample_sir_batch(f, g, cfg, 15)
     assert samples.shape == (15, 2)
     assert (counter.fp_flow, counter.fp_energy, counter.bp) == (200, 200, 0)
@@ -79,14 +80,15 @@ def test_nfe_counter_reads_m_per_sample(mode, monkeypatch):
     assert max(rows["flow"]) == metrics.BLOCK_ROWS
 
 
-def _paper_literal_with_z_hat(f, g, cfg, count):
-    """Reference: one chunk of paper_literal SIR that also evaluates the N
-    normalizer draws and subtracts their log Z-hat from the weights."""
+def _paper_literal_with_z_hat(f, g, cfg, count, n=200):
+    """Reference: one chunk of paper_literal SIR that also evaluates N
+    normalizer draws, from a stream of their own, and subtracts their
+    log Z-hat from the weights."""
     rng = Rng(cfg.seed)
-    m, n = cfg.proposals, cfg.normalizer_samples
+    m = cfg.proposals
     with no_grad():
         z, fz, _ = flow_terms(f, g, rng.normal((count * m, g.nz)))
-        extra, _ = g.forward(Tensor(rng.normal((count * n, g.nz))))
+        extra, _ = g.forward(Tensor(Rng(cfg.seed + 1000).normal((count * n, g.nz))))
         f_extra = f(extra).data[:, 0].reshape(count, n)
     log_z_hat = logsumexp(-f_extra, axis=1, keepdims=True) - np.log(n)
     picks = resample(-fz.data[:, 0].reshape(count, m) - log_z_hat, rng.uniform((count, 1)))
@@ -103,7 +105,7 @@ def _nonlinear_models():
 @pytest.mark.parametrize("mode", ["paper_literal", "tilted_base"])
 def test_sir_in_row_blocks_matches_one_block(mode, monkeypatch):
     f, g = _nonlinear_models()
-    cfg = SirConfig(proposals=500, normalizer_samples=300, seed=4, weight_mode=mode)
+    cfg = SirConfig(proposals=500, seed=4, weight_mode=mode)
     blocked, _ = sample_sir_batch(f, g, cfg, 40)
     monkeypatch.setattr(metrics, "BLOCK_ROWS", 10**9)
     whole, _ = sample_sir_batch(f, g, cfg, 40)
@@ -123,7 +125,7 @@ def test_sir_memory_is_bounded_by_the_block():
     sizes = default_sizes(2)
     f = EnergyFunction(2, sizes["nd"], Rng(0))
     g = perturbed_flow(2, sizes["nh"], sizes["n_layers"], 1)
-    cfg = SirConfig(proposals=500, normalizer_samples=500, seed=0)
+    cfg = SirConfig(proposals=500, seed=0)
     tracemalloc.start()
     try:
         sample_sir_batch(f, g, cfg, 200)
@@ -138,6 +140,6 @@ def test_sir_memory_is_bounded_by_the_block():
 @pytest.mark.parametrize("seed", range(3))
 def test_paper_literal_picks_equal_those_with_z_hat_evaluated(seed):
     f, g = _nonlinear_models()
-    cfg = SirConfig(proposals=300, normalizer_samples=200, seed=seed)
+    cfg = SirConfig(proposals=300, seed=seed)
     got, _ = sample_sir_batch(f, g, cfg, 60)
     np.testing.assert_allclose(got, _paper_literal_with_z_hat(f, g, cfg, 60), rtol=0, atol=1e-12)
