@@ -137,7 +137,7 @@ def _export_density_grids(out: Path, vae, f, g, data, seeds):
         names = {
             "grid_base_prior.csv": lambda z: standard_normal_logpdf(z).data,
             "grid_tilted_prior.csv": lambda z: tilted(z) - log_z,
-            "grid_flow_density.csv": lambda z: g.log_pdf(Tensor(z)).data,
+            "grid_flow_density.csv": g.log_pdf,
             "grid_qagg_kde.csv": qagg_kde,
         }
         # The bytes csv.writer gives, with the shared (x, y) text formatted once.
@@ -297,7 +297,7 @@ def run_sweep_cell(args) -> dict:
         seeds = RunConfig(seed=seed).derived_seeds()
         stage1 = replace(cfg.stage1, kl_weight=kl_weight, seed=seeds["stage1"])
         stage2 = replace(cfg.stage2, seed=seeds["stage2"])
-        dataset = make_dataset(cfg.dataset.name, cfg.dataset.n, seeds["dataset"], cfg.dataset.params)
+        dataset = _build_dataset(replace(cfg, seed=seed))
         if min(eval_samples, len(dataset.samples)) <= dataset.dim:
             raise ConfigError(f"sweep.eval_samples and the data rows must exceed {dataset.dim}")
 

@@ -20,7 +20,6 @@ MAX_IDX_ELEMENTS = 1_000_000_000
 
 @dataclass
 class Dataset:
-    name: str
     samples: np.ndarray
 
     def __post_init__(self):
@@ -48,7 +47,7 @@ def make_gaussian_ring(n, modes=8, radius=2.0, sigma=0.1, seed=0) -> Dataset:
     means = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
     which = rng.integers(0, modes, n)
     samples = means[which] + sigma * rng.normal((n, 2))
-    return Dataset(name=f"gaussian_ring{modes}", samples=samples)
+    return Dataset(samples)
 
 
 def make_checkerboard(n, seed=0) -> Dataset:
@@ -60,7 +59,7 @@ def make_checkerboard(n, seed=0) -> Dataset:
     x2 = rng.uniform(n) - rng.integers(0, 2, n) * 2.0
     x2 = x2 + np.floor(x1) % 2
     samples = 2.0 * np.stack([x1, x2], axis=1)
-    return Dataset(name="checkerboard", samples=samples)
+    return Dataset(samples)
 
 
 def make_pinwheel(n, arms=5, seed=0) -> Dataset:
@@ -77,7 +76,7 @@ def make_pinwheel(n, arms=5, seed=0) -> Dataset:
     rot_x = feats[:, 0] * np.cos(angles) - feats[:, 1] * np.sin(angles)
     rot_y = feats[:, 0] * np.sin(angles) + feats[:, 1] * np.cos(angles)
     samples = np.clip(2.0 * np.stack([rot_x, rot_y], axis=1), -4.0, 4.0)
-    return Dataset(name=f"pinwheel{arms}", samples=samples)
+    return Dataset(samples)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +121,7 @@ def load_idx(path) -> Dataset:
         )
     values = np.frombuffer(raw[header_len : header_len + count], dtype=np.uint8)
     samples = values.reshape(dims[0], -1).astype(np.float64) / 255.0
-    return Dataset(name=f"idx:{path}", samples=samples)
+    return Dataset(samples)
 
 
 _GENERATORS = {

@@ -3,7 +3,6 @@
 from .adam import Adam
 from .gradcheck import gradcheck
 from .tensor import (
-    Tape,
     Tensor,
     active_tape,
     backward,
@@ -18,7 +17,6 @@ from .tensor import (
 __all__ = [
     "Adam",
     "gradcheck",
-    "Tape",
     "Tensor",
     "active_tape",
     "backward",

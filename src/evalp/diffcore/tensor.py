@@ -1,19 +1,21 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Operations on tensors that require gradients are recorded, in execution
-order, on a module-global tape (a Wengert list). Because the tape is
-appended during the forward pass it is already topologically sorted;
-``backward`` replays it once in reverse, accumulating gradients additively
-into every reachable tensor, then frees it. One tape per optimization
-step keeps memory bounded; wrap pure evaluation in ``no_grad()`` so it
-records nothing.
+order, on a module-global tape: a plain list (a Wengert list) of
+``(out, parents, pull)`` nodes, where ``pull(grad_out)`` returns one
+gradient array per parent (None for a parent without grad); ``active_tape``
+returns it. Appended during the forward pass, the tape is already
+topologically sorted; ``backward`` replays it once in reverse,
+accumulating gradients additively into every reachable tensor, then frees
+it. One tape per optimization step keeps memory bounded; wrap pure
+evaluation in ``no_grad()`` so it records nothing.
 
-The ops below record one node each. Modules (an MLP, a whole flow pass,
-the energy's input gradient) instead compute on arrays and ``record`` one
-node for the whole call, whose pull is the module's closed-form reverse
-pass. Such a module caches the intermediates its pull needs only when the
-node is recorded; a pass outside the tape (under ``no_grad``, or with no
-input that requires grad) caches no derivatives.
+The ops below record one node each. Modules (an MLP, a flow's forward
+pass, the energy's input gradient) instead compute on arrays and
+``record`` one node for the whole call, whose pull is the module's
+closed-form reverse pass. Such a module caches the intermediates its pull
+needs only when the node is recorded; a pass outside the tape (under
+``no_grad``, or with no input that requires grad) caches no derivatives.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from ..errors import DomainError, ShapeMismatchError
 
 __all__ = [
     "Tensor",
-    "Tape",
     "backward",
     "no_grad",
     "forward_op",
@@ -35,29 +36,7 @@ __all__ = [
 ]
 
 
-class Tape:
-    """Ordered record of differentiable operations.
-
-    Each node is ``(out, parents, pull)`` where ``pull(grad_out)`` returns
-    one gradient array per parent (or None for parents without grad).
-    """
-
-    __slots__ = ("_nodes",)
-
-    def __init__(self):
-        self._nodes = []
-
-    def __len__(self):
-        return len(self._nodes)
-
-    def record(self, out, parents, pull):
-        self._nodes.append((out, parents, pull))
-
-    def clear(self):
-        self._nodes.clear()
-
-
-_TAPE = Tape()
+_TAPE = []
 _GRAD_ENABLED = True
 
 
@@ -76,7 +55,7 @@ class no_grad:
         return False
 
 
-def active_tape() -> Tape:
+def active_tape() -> list:
     return _TAPE
 
 
@@ -110,17 +89,10 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeMismatchError(f"item() needs a single element, got shape {self.data.shape}")
         return float(self.data.reshape(()))
-
-    def zero_grad(self):
-        self.grad = None
 
     def accumulate_grad(self, g):
         if self.grad is None:
@@ -189,9 +161,6 @@ class Tensor:
     def mean(self, axis=None):
         return tmean(self, axis=axis)
 
-    def transpose(self):
-        return transpose(self)
-
 
 def _as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
@@ -208,7 +177,7 @@ def needs_grad(parents) -> bool:
 def _record(out: Tensor, parents, pull):
     if needs_grad(parents):
         out.requires_grad = True
-        _TAPE.record(out, parents, pull)
+        _TAPE.append((out, parents, pull))
     return out
 
 
@@ -251,7 +220,7 @@ def backward(root: Tensor):
     if root.data.size != 1:
         raise ShapeMismatchError(f"backward() root must be a scalar, got shape {root.data.shape}")
     root.grad = np.ones_like(root.data)
-    for out, parents, pull in reversed(_TAPE._nodes):
+    for out, parents, pull in reversed(_TAPE):
         if out.grad is None:
             continue
         for parent, g in zip(parents, pull(out.grad)):

@@ -5,11 +5,12 @@ Conventions: model inputs are (B, d) row batches of tensors; weights are
 stored (in, out) so a layer computes ``x @ W + b``. Flow forward maps
 base noise to latents; inverse maps latents back and is exact.
 
-Each module call is one tape node: ``Mlp.__call__``, each
-``FlowSampler.forward``/``inverse`` pass and ``energy_input_grad`` compute
-on arrays and record a closed-form pull over their input and parameters.
-They cache the layer inputs and activation-derivative factors only when
-the node is recorded.
+Each module call is one tape node: ``Mlp.__call__``, ``FlowSampler.forward``
+and ``energy_input_grad`` compute on arrays and record a closed-form pull
+over their input and parameters. They cache the layer inputs and
+activation-derivative factors only when the node is recorded. The flow's
+inverse and ``log_pdf`` only evaluate densities: they take and return
+arrays and record nothing.
 """
 
 from __future__ import annotations
@@ -246,11 +247,12 @@ class CouplingLayer:
     The scale output is tanh-bounded and multiplied by a learnable bound
     so exp(scale) stays well-conditioned.
 
-    The layer works on arrays: ``forward_arrays``/``inverse_arrays`` return
-    (out, logdet, cache) and ``pull_forward``/``pull_inverse`` are their
-    closed-form reverse passes, so ``FlowSampler`` records a whole pass as
-    one tape node. The coupling Jacobian is triangular, so logdet is the
-    sum of the scales and the log norm scales.
+    The layer works on arrays: ``forward_arrays`` returns (out, logdet,
+    cache) and ``pull_forward`` is its closed-form reverse pass, so
+    ``FlowSampler`` records a whole forward pass as one tape node.
+    ``inverse_arrays`` returns (x, logdet) and is never recorded. The
+    coupling Jacobian is triangular, so logdet is the sum of the scales and
+    the log norm scales.
     """
 
     def __init__(self, nz: int, nh: int, parity: int, rng: Rng | None = None):
@@ -312,27 +314,11 @@ class CouplingLayer:
         g_log_scale = g_logdet.sum(axis=0) + (g_y * a).sum(axis=0) * e
         return g_a, [g_a.sum(axis=0), g_log_scale, g_bound, *g_s_net, *g_t_net]
 
-    def inverse_arrays(self, y, keep=False):
-        """x = ((y - t) exp(-s)) exp(-log_scale) - shift."""
-        s, t, nets = self._nets(y, keep)
-        ens = checked_exp(-s)
-        d = y - t
-        x1 = d * ens
-        enl = checked_exp(-self.log_scale.data)
-        x = x1 * enl - self.shift.data
-        logdet = -s.sum(axis=-1) - self.log_scale.data.sum()
-        return x, logdet, ((ens, d, x1, enl, nets) if keep else None)
-
-    def pull_inverse(self, cache, g_x, g_logdet):
-        """(y grad, parameter grads in ``parameters()`` order) of inverse_arrays."""
-        ens, d, x1, enl, nets = cache
-        g_x1 = g_x * enl
-        g_d = g_x1 * ens
-        g_s = -g_logdet[:, None] - g_x1 * d * ens
-        g_y, g_bound, g_s_net, g_t_net = self._nets_pull(nets, g_s, -g_d)
-        g_y = g_d + g_y
-        g_log_scale = -g_logdet.sum(axis=0) - (g_x * x1).sum(axis=0) * enl
-        return g_y, [-g_x.sum(axis=0), g_log_scale, g_bound, *g_s_net, *g_t_net]
+    def inverse_arrays(self, y):
+        """(x, logdet) with x = ((y - t) exp(-s)) exp(-log_scale) - shift."""
+        s, t, _ = self._nets(y, False)
+        x = (y - t) * checked_exp(-s) * checked_exp(-self.log_scale.data) - self.shift.data
+        return x, -s.sum(axis=-1) - self.log_scale.data.sum()
 
     def parameters(self):
         return [p for _, p in self.named_parameters()]
@@ -361,30 +347,21 @@ class FlowSampler:
         self.layers = [CouplingLayer(nz, nh, parity=i, rng=rng) for i in range(n_layers)]
 
     def forward(self, eps):
-        """Map base noise to latents; returns (z, per-row log |det J|)."""
-        return self._pass(eps, "flow_forward", False)
+        """Map base noise to latents; returns (z, per-row log |det J|).
 
-    def inverse(self, z):
-        """Map latents back to base noise; returns (eps, per-row log |det J|)."""
-        return self._pass(z, "flow_inverse", True)
-
-    def _pass(self, x, what, inverse):
-        """One pass over the layers, recorded as one node over (x, *parameters).
-
-        The node's output packs (out, logdet) into one (B, nz + 1) array;
-        the two returned tensors are slices of it.
+        The pass is one tape node over (eps, *parameters). Its output packs
+        (z, logdet) into one (B, nz + 1) array; the two returned tensors
+        are slices of it.
         """
-        x = x if isinstance(x, Tensor) else Tensor(x)
+        x = eps if isinstance(eps, Tensor) else Tensor(eps)
         if x.shape[-1] != self.nz:
-            raise ShapeMismatchError(f"{what}: width {x.shape[-1]} vs nz {self.nz}")
+            raise ShapeMismatchError(f"flow_forward: width {x.shape[-1]} vs nz {self.nz}")
         params = self.parameters()
         parents = (x, *params)
         keep = needs_grad(parents)
-        order = list(reversed(self.layers)) if inverse else self.layers
         out, logdet, caches = x.data, None, []
-        for layer in order:
-            run = layer.inverse_arrays if inverse else layer.forward_arrays
-            out, ld, cache = run(out, keep)
+        for layer in self.layers:
+            out, ld, cache = layer.forward_arrays(out, keep)
             logdet = ld if logdet is None else logdet + ld
             caches.append(cache)
         if not keep:
@@ -392,20 +369,32 @@ class FlowSampler:
 
         def pull(g):
             g_x, g_logdet = g[:, : self.nz], g[:, self.nz]
-            grads = {}
-            for layer, cache in zip(reversed(order), reversed(caches)):
-                back = layer.pull_inverse if inverse else layer.pull_forward
-                g_x, grads[layer] = back(cache, g_x, g_logdet)
-            return (g_x, *(g for layer in self.layers for g in grads[layer]))
+            grads = []
+            for layer, cache in zip(reversed(self.layers), reversed(caches)):
+                g_x, layer_grads = layer.pull_forward(cache, g_x, g_logdet)
+                grads = layer_grads + grads
+            return (g_x, *grads)
 
         packed = record(np.concatenate([out, logdet[:, None]], axis=1), parents, pull)
         z = tslice(packed, 1, 0, self.nz)
         return z, tslice(packed, 1, self.nz, self.nz + 1).sum(axis=-1)
 
-    def log_pdf(self, z) -> Tensor:
-        """log p(z) under the flow-pushforward of N(0, I), per row."""
+    def inverse(self, z):
+        """Map latent rows back to base noise; returns the arrays (eps,
+        per-row log |det J|). Evaluates off the tape."""
+        x = np.asarray(z, dtype=np.float64)
+        if x.shape[-1] != self.nz:
+            raise ShapeMismatchError(f"flow_inverse: width {x.shape[-1]} vs nz {self.nz}")
+        logdet = None
+        for layer in reversed(self.layers):
+            x, ld = layer.inverse_arrays(x)
+            logdet = ld if logdet is None else logdet + ld
+        return x, logdet
+
+    def log_pdf(self, z) -> np.ndarray:
+        """log p(z) under the flow-pushforward of N(0, I), per row, as an array."""
         eps, logdet = self.inverse(z)
-        return standard_normal_logpdf(eps) + logdet
+        return standard_normal_logpdf(eps).data + logdet
 
     def initialize_norm_inverse(self, z_batch: np.ndarray):
         """Set each norm layer so the inverse pass whitens this batch."""
@@ -414,11 +403,11 @@ class FlowSampler:
             # With a zero norm the inverse is the coupling's alone.
             layer.log_scale.data = np.zeros(self.nz)
             layer.shift.data = np.zeros(self.nz)
-            u, _, _ = layer.inverse_arrays(y)
+            u, _ = layer.inverse_arrays(y)
             std = u.std(axis=0) + 1e-6
             layer.log_scale.data = np.log(std)
             layer.shift.data = u.mean(axis=0) / std
-            y, _, _ = layer.inverse_arrays(y)
+            y, _ = layer.inverse_arrays(y)
 
     def parameters(self):
         return [p for _, p in self.named_parameters()]
@@ -497,12 +486,6 @@ def vae_encode(m: VaeModel, x) -> DiagGaussian:
     mu = tslice(out, 1, 0, m.nz)
     logvar = tslice(out, 1, m.nz, 2 * m.nz)
     return DiagGaussian(mu, logvar)
-
-
-def vae_decode(m: VaeModel, z) -> Tensor:
-    if not isinstance(z, Tensor):
-        z = Tensor(z)
-    return m.decoder(z)
 
 
 # Default sizes: image-scale latents use the wider nets, 2-d toys the

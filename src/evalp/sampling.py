@@ -12,7 +12,7 @@ from scipy.special import logsumexp
 from .diffcore import Tensor, no_grad
 from .errors import ShapeMismatchError
 from .metrics import map_row_blocks
-from .models import EnergyFunction, FlowSampler, VaeModel, flow_terms, vae_decode
+from .models import EnergyFunction, FlowSampler, VaeModel, flow_terms
 from .rng import Rng
 
 WEIGHT_MODES = ("paper_literal", "tilted_base")
@@ -129,5 +129,5 @@ def generate(vae: VaeModel, latents: np.ndarray) -> np.ndarray:
     if latents.shape[-1] != vae.nz:
         raise ShapeMismatchError(f"latent width {latents.shape[-1]} vs nz {vae.nz}")
     with no_grad():
-        out = vae_decode(vae, Tensor(latents))
+        out = vae.decoder(Tensor(latents))
         return (out.sigmoid() if vae.obs_model == "bernoulli" else out).data

@@ -10,7 +10,7 @@ import numpy as np
 from .diffcore import Adam, Tensor, backward, no_grad
 from .errors import ConfigError, DomainError, NonFiniteError, TrainingDivergedError
 from .gauss import LOG_2PI, kl_to_standard, reparameterize
-from .models import OBS_MODELS, VaeModel, vae_decode, vae_encode
+from .models import OBS_MODELS, VaeModel, vae_encode
 from .rng import Rng
 
 
@@ -67,7 +67,7 @@ def elbo_loss(m: VaeModel, x, kl_weight: float, eps):
         x = Tensor(x)
     post = vae_encode(m, x)
     z = reparameterize(post, eps)
-    decoded = vae_decode(m, z)
+    decoded = m.decoder(z)
     recon = observation_log_lik(m, decoded, x).mean()
     kl = kl_to_standard(post).mean()
     total = -(recon - kl * kl_weight)

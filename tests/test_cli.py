@@ -200,6 +200,16 @@ def test_stage1_batch_larger_than_the_dataset_exits_2(tmp_path, capsys):
     assert all(r["error"].startswith("ConfigError") and "300" in r["error"] for r in rows)
 
 
+@pytest.mark.parametrize("dotted, value", [("dataset__params__sigma", -1.0), ("dataset__n", 0)])
+def test_sweep_records_an_out_of_range_dataset_value_in_each_row(tmp_path, dotted, value):
+    cfg = _config(tmp_path, sweep=SWEEP, **{dotted: value})
+    assert _run(cfg, tmp_path, "sweep-kl", "--threads", "1") == 0
+    with open(tmp_path / "sweep_kl.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2
+    assert all(r["error"].startswith("ConfigError: dataset:") for r in rows), rows
+
+
 def test_eval_config_hash_covers_the_whole_config(tmp_path, trained):
     cfg, models = trained
     hashes = []

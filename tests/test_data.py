@@ -1,5 +1,6 @@
-"""IDX loader tests: a valid file decodes, and any other bytes raise one of
-the typed data errors."""
+"""Data tests: the 2-d generators are seeded, finite and bounded and reject
+out-of-range parameters; a valid IDX file decodes, and any other bytes
+raise one of the typed data errors."""
 
 import struct
 
@@ -8,12 +9,39 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from evalp.data import IDX_MAGIC_IMAGES, IDX_MAGIC_LABELS, load_idx
+from evalp.data import IDX_MAGIC_IMAGES, IDX_MAGIC_LABELS, load_idx, make_dataset
 from evalp.errors import DataError, IdxFormatError
 
 fixture_settings = settings(
     max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
+
+
+@pytest.mark.parametrize("name", ["gaussian_ring", "checkerboard", "pinwheel"])
+def test_generators_are_seeded_finite_and_bounded(name):
+    a = make_dataset(name, 500, 7).samples
+    assert a.shape == (500, 2) and np.isfinite(a).all()
+    again = make_dataset(name, 500, 7).samples
+    np.testing.assert_array_equal(again.view(np.int64), a.view(np.int64))
+    assert not np.array_equal(make_dataset(name, 500, 8).samples, a)
+    if name != "gaussian_ring":
+        assert np.abs(a).max() <= 4.0
+
+
+@pytest.mark.parametrize(
+    "name, n, params",
+    [
+        ("gaussian_ring", 0, {}),
+        ("checkerboard", 0, {}),
+        ("pinwheel", 0, {}),
+        ("gaussian_ring", 10, {"modes": 0}),
+        ("gaussian_ring", 10, {"sigma": 0.0}),
+        ("pinwheel", 10, {"arms": 0}),
+    ],
+)
+def test_generators_reject_out_of_range_parameters(name, n, params):
+    with pytest.raises(ValueError):
+        make_dataset(name, n, 0, params)
 
 
 def test_images_decode_to_unit_rows(tmp_path):

@@ -1,11 +1,12 @@
 """Fused module nodes against their per-op routes (``per_op.py``).
 
-``Mlp.__call__``, each ``FlowSampler.forward``/``inverse`` pass and
-``energy_input_grad`` record one tape node with a closed-form pull. Their
-outputs and every input and parameter gradient must equal the per-op
-route bitwise; each node passes ``gradcheck``; overflow still raises
-``DomainError``; nothing is recorded outside the tape; the stage-2 loss
-tapes stay short; and the flat Adam equals the per-parameter update.
+``Mlp.__call__``, ``FlowSampler.forward`` and ``energy_input_grad`` record
+one tape node with a closed-form pull. Their outputs and every input and
+parameter gradient must equal the per-op route bitwise; each node passes
+``gradcheck``; the off-tape ``FlowSampler.inverse`` equals the per-op
+values bitwise; overflow still raises ``DomainError``; nothing is recorded
+outside the tape; the stage-2 loss tapes stay short; and the flat Adam
+equals the per-parameter update.
 """
 
 import numpy as np
@@ -36,6 +37,12 @@ def _assert_bitwise(got, want, what):
     got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
     assert got.shape == want.shape, f"{what}: shape {got.shape} vs {want.shape}"
     np.testing.assert_array_equal(_bits(got), _bits(want), err_msg=what)
+
+
+def _flow_input(direction, x):
+    """What a flow direction takes: a tensor requiring grad for the forward
+    node, the rows themselves for the off-tape inverse."""
+    return Tensor(x, requires_grad=True) if direction == "forward" else x
 
 
 def _grads_of(route, tensors, probes):
@@ -123,26 +130,30 @@ class TestFlowNode:
         g = perturbed_flow(nz, 16, n_layers, seed=nz + n_layers)
         rng = Rng(batch)
         x = Tensor(rng.normal((batch, nz)), requires_grad=True)
+        if direction == "inverse":
+            # The inverse evaluates arrays off the tape: values only.
+            with no_grad():
+                want = per_op.flow_inverse(g, x)
+            for k, (a, b) in enumerate(zip(g.inverse(x.data), want)):
+                _assert_bitwise(a, b.data, f"output {k}")
+            return
         probes = [rng.normal((batch, nz)), rng.normal(batch)]
-        fused = getattr(g, direction)
-        reference = per_op.flow_forward if direction == "forward" else per_op.flow_inverse
         names = ["x"] + [n for n, _ in g.named_parameters()]
         _compare(
-            lambda: list(fused(x)),
-            lambda: list(reference(g, x)),
+            lambda: list(g.forward(x)),
+            lambda: list(per_op.flow_forward(g, x)),
             [x, *g.parameters()],
             probes,
             names,
         )
 
-    @pytest.mark.parametrize("direction", ["forward", "inverse"])
-    def test_gradcheck(self, direction, rng):
+    def test_gradcheck(self, rng):
         g = perturbed_flow(2, 8, 2, seed=4, scale=0.2)
         eps = Tensor(rng.normal((4, 2)))
         probe = rng.normal((4, 2))
 
         def head(eps, *ps):
-            z, logdet = getattr(g, direction)(eps)
+            z, logdet = g.forward(eps)
             return (z * probe).sum() + logdet.mean()
 
         assert gradcheck(head, [eps, *g.parameters()]) < 1e-5
@@ -163,7 +174,7 @@ class TestFlowNode:
         for grad_mode in (True, False):
             with pytest.raises(DomainError, match="exp overflow"):
                 if grad_mode:
-                    getattr(g, direction)(Tensor(rng.normal((3, 2)), requires_grad=True))
+                    getattr(g, direction)(_flow_input(direction, rng.normal((3, 2))))
                 else:
                     with no_grad():
                         getattr(g, direction)(rng.normal((3, 2)))
@@ -177,7 +188,7 @@ class TestFlowNode:
             layer.s_bound.data = np.array(1e4)
             layer.s_net.biases[-1].data = np.full(2, 5.0 * sign)
         with pytest.raises(DomainError, match="exp overflow"):
-            getattr(g, direction)(Tensor(rng.normal((3, 2)), requires_grad=True))
+            getattr(g, direction)(_flow_input(direction, rng.normal((3, 2))))
         clear_tape()
 
 
@@ -214,9 +225,21 @@ class TestNothingRecordedOffTape:
         x = Tensor(rng.normal((4, 2)), requires_grad=True)
         clear_tape()
         with no_grad():
-            outs = [net(x), *g.forward(x), *g.inverse(x), f(x), energy_input_grad(f, x)]
+            outs = [net(x), *g.forward(x), f(x), energy_input_grad(f, x)]
+            g.inverse(x.data)
         assert len(active_tape()) == 0
         assert not any(o.requires_grad for o in outs)
+
+    def test_inverse_and_log_pdf_record_nothing_in_grad_mode(self, rng):
+        g = perturbed_flow(2, 8, 2, seed=0)
+        assert all(p.requires_grad for p in g.parameters())
+        z = rng.normal((4, 2))
+        clear_tape()
+        eps, logdet = g.inverse(z)
+        log_p = g.log_pdf(z)
+        assert len(active_tape()) == 0
+        assert all(type(a) is np.ndarray for a in (eps, logdet, log_p))
+        assert eps.shape == (4, 2) and logdet.shape == log_p.shape == (4,)
 
     def test_no_parent_requiring_grad_records_nothing(self, rng):
         net = Mlp(MlpSpec((2, 8, 2), ("relu", "none")), rng).detached()
@@ -239,7 +262,7 @@ class TestNothingRecordedOffTape:
         g = perturbed_flow(2, 8, 2, seed=0)
         x = Tensor(rng.normal((4, 2)), requires_grad=True)
         with no_grad():
-            net(x), g.forward(x), g.inverse(x)
+            net(x), g.forward(x), g.inverse(x.data)
         net.detached()(Tensor(x.data))
         assert keeps and not any(keeps)
         net(x)
