@@ -392,12 +392,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
-            for key in ("stage1", "stage2", "sir"):
-                if getattr(cfg, key) is not None:
-                    getattr(cfg, key).seed = cfg.derived_seeds()[key]
+        cfg = load_config(args.config, seed=args.seed)
         out = Path(args.out or cfg.out_dir or "evalp_out")
         if args.command == "train-vae":
             run_train_vae(cfg, out)

@@ -141,7 +141,9 @@ def parse_config(doc: dict) -> RunConfig:
     return cfg
 
 
-def load_config(path) -> RunConfig:
+def load_config(path, seed: int | None = None) -> RunConfig:
+    """The run configuration in ``path``; a ``seed`` replaces the file's
+    global seed before the stage seeds are derived from it."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -149,6 +151,8 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
+    if seed is not None and isinstance(doc, dict):
+        doc["seed"] = seed
     return parse_config(doc)
 
 

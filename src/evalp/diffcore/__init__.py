@@ -1,29 +1,28 @@
-"""Tensors, reverse-mode autodiff, and the Adam optimizer."""
+"""Tensors, reverse-mode autodiff, and the Adam optimizer.
+
+``record`` adds one custom node to the tape and ``needs_grad`` says
+whether it will be; ``active_tape`` and ``clear_tape`` expose the tape for
+counting and resetting it.
+"""
 
 from .adam import Adam
-from .gradcheck import gradcheck
 from .tensor import (
     Tensor,
     active_tape,
     backward,
     clear_tape,
-    forward_op,
     needs_grad,
     no_grad,
-    op_kinds,
     record,
 )
 
 __all__ = [
     "Adam",
-    "gradcheck",
     "Tensor",
     "active_tape",
     "backward",
     "clear_tape",
-    "forward_op",
     "needs_grad",
     "no_grad",
-    "op_kinds",
     "record",
 ]

@@ -10,12 +10,15 @@ accumulating gradients additively into every reachable tensor, then frees
 it. One tape per optimization step keeps memory bounded; wrap pure
 evaluation in ``no_grad()`` so it records nothing.
 
-The ops below record one node each. Modules (an MLP, a flow's forward
-pass, the energy's input gradient) instead compute on arrays and
-``record`` one node for the whole call, whose pull is the module's
-closed-form reverse pass. Such a module caches the intermediates its pull
-needs only when the node is recorded; a pass outside the tape (under
-``no_grad``, or with no input that requires grad) caches no derivatives.
+The elementwise, reduction and slice ops below record one node each;
+they are the ones the package's losses reach, through the ``Tensor``
+operators and methods. Modules (an MLP, a flow's forward pass, the
+energy's input gradient) instead compute on arrays and ``record`` one node
+for the whole call, whose pull is the module's closed-form reverse pass;
+any other op is built on ``record`` the same way. Such a module caches the
+intermediates its pull needs only when the node is recorded; a pass
+outside the tape (under ``no_grad``, or with no input that requires grad)
+caches no derivatives.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ __all__ = [
     "Tensor",
     "backward",
     "no_grad",
-    "forward_op",
-    "op_kinds",
     "needs_grad",
     "record",
     "checked_exp",
@@ -122,23 +123,11 @@ class Tensor:
     def __rmul__(self, other):
         return mul(_as_tensor(other), self)
 
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
     def __neg__(self):
         return neg(self)
 
     def exp(self):
         return exp(self)
-
-    def tanh(self):
-        return tanh(self)
-
-    def relu(self):
-        return relu(self)
-
-    def leaky_relu(self, slope=0.01):
-        return leaky_relu(self, slope=slope)
 
     def softplus(self):
         return softplus(self)
@@ -230,29 +219,8 @@ def backward(root: Tensor):
 
 
 # ---------------------------------------------------------------------------
-# Operation registry
+# Ops
 # ---------------------------------------------------------------------------
-
-_OPS = {}
-
-
-def _register(kind):
-    def deco(fn):
-        _OPS[kind] = fn
-        return fn
-
-    return deco
-
-
-def forward_op(kind: str, *inputs, **params) -> Tensor:
-    """Dispatch an operation by kind name (see ``op_kinds``)."""
-    if kind not in _OPS:
-        raise KeyError(f"unknown op kind {kind!r}; known: {sorted(_OPS)}")
-    return _OPS[kind](*inputs, **params)
-
-
-def op_kinds():
-    return sorted(_OPS)
 
 
 def _check_broadcast(a, b, kind):
@@ -264,7 +232,6 @@ def _check_broadcast(a, b, kind):
         ) from None
 
 
-@_register("add")
 def add(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast(a, b, "add")
@@ -276,7 +243,6 @@ def add(a, b):
     return _record(out, (a, b), pull)
 
 
-@_register("sub")
 def sub(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast(a, b, "sub")
@@ -288,7 +254,6 @@ def sub(a, b):
     return _record(out, (a, b), pull)
 
 
-@_register("mul")
 def mul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast(a, b, "mul")
@@ -300,29 +265,12 @@ def mul(a, b):
     return _record(out, (a, b), pull)
 
 
-@_register("matmul")
-def matmul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeMismatchError(
-            f"matmul: shapes {a.data.shape} and {b.data.shape} do not conform"
-        )
-    out = Tensor._wrap(a.data @ b.data)
-
-    def pull(g):
-        return g @ b.data.T, a.data.T @ g
-
-    return _record(out, (a, b), pull)
-
-
-@_register("neg")
 def neg(a):
     a = _as_tensor(a)
     out = Tensor._wrap(-a.data)
     return _record(out, (a,), lambda g: (-g,))
 
 
-@_register("exp")
 def exp(a):
     a = _as_tensor(a)
     val = checked_exp(a.data)
@@ -330,37 +278,6 @@ def exp(a):
     return _record(out, (a,), lambda g: (g * val,))
 
 
-@_register("tanh")
-def tanh(a):
-    a = _as_tensor(a)
-    val = np.tanh(a.data)
-    out = Tensor._wrap(val)
-    return _record(out, (a,), lambda g: (g * (1.0 - val * val),))
-
-
-@_register("relu")
-def relu(a):
-    a = _as_tensor(a)
-    out = Tensor._wrap(np.maximum(a.data, 0.0))
-    return _record(out, (a,), lambda g: (g * (a.data > 0.0),))
-
-
-@_register("leaky_relu")
-def leaky_relu(a, slope=0.01):
-    if not 0.0 <= slope <= 1.0:
-        raise ValueError(f"leaky_relu slope must be in [0, 1], got {slope}")
-    a = _as_tensor(a)
-    # For 0 <= slope <= 1, max(a, slope * a) picks the same branch as a > 0.
-    out = Tensor._wrap(np.maximum(a.data, slope * a.data))
-
-    def pull(g):
-        # Subgradient at exactly 0 is the negative-side slope.
-        return (g * np.where(a.data > 0.0, 1.0, slope),)
-
-    return _record(out, (a,), pull)
-
-
-@_register("softplus")
 def softplus(a):
     a = _as_tensor(a)
     # log(1 + e^x) = max(x, 0) + log1p(e^{-|x|}), overflow-safe.
@@ -382,7 +299,6 @@ def _sigmoid_np(x):
     return out
 
 
-@_register("sigmoid")
 def sigmoid(a):
     a = _as_tensor(a)
     val = _sigmoid_np(a.data)
@@ -390,14 +306,12 @@ def sigmoid(a):
     return _record(out, (a,), lambda g: (g * val * (1.0 - val),))
 
 
-@_register("square")
 def square(a):
     a = _as_tensor(a)
     out = Tensor._wrap(a.data * a.data)
     return _record(out, (a,), lambda g: (g * 2.0 * a.data,))
 
 
-@_register("sqrt")
 def sqrt(a):
     a = _as_tensor(a)
     if np.any(a.data < 0.0):
@@ -412,7 +326,6 @@ def sqrt(a):
     return _record(out, (a,), pull)
 
 
-@_register("clip")
 def clip(a, lo, hi):
     a = _as_tensor(a)
     out = Tensor._wrap(np.clip(a.data, lo, hi))
@@ -420,7 +333,6 @@ def clip(a, lo, hi):
     return _record(out, (a,), lambda g: (g * mask,))
 
 
-@_register("sum")
 def tsum(a, axis=None):
     a = _as_tensor(a)
     out = Tensor._wrap(a.data.sum(axis=axis))
@@ -433,7 +345,6 @@ def tsum(a, axis=None):
     return _record(out, (a,), pull)
 
 
-@_register("mean")
 def tmean(a, axis=None):
     a = _as_tensor(a)
     out = Tensor._wrap(a.data.mean(axis=axis))
@@ -447,7 +358,6 @@ def tmean(a, axis=None):
     return _record(out, (a,), pull)
 
 
-@_register("slice")
 def tslice(a, axis, start, stop):
     a = _as_tensor(a)
     if not (0 <= start <= stop <= a.data.shape[axis]):
@@ -465,12 +375,3 @@ def tslice(a, axis, start, stop):
         return (full,)
 
     return _record(out, (a,), pull)
-
-
-@_register("transpose")
-def transpose(a):
-    a = _as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeMismatchError(f"transpose expects a 2-d tensor, got shape {a.data.shape}")
-    out = Tensor._wrap(a.data.T.copy())
-    return _record(out, (a,), lambda g: (g.T,))

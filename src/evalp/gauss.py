@@ -1,4 +1,5 @@
-"""Diagonal Gaussian utilities: log densities, KL to N(0, I), reparameterization.
+"""Diagonal Gaussian utilities: the standard-normal log density, KL to
+N(0, I), reparameterization.
 
 All operations run through the autodiff tensors, so they are usable both
 inside training losses and (wrapped in ``no_grad``) as plain evaluators.
@@ -30,10 +31,6 @@ class DiagGaussian:
     logvar: Tensor
 
     def __post_init__(self):
-        if not isinstance(self.mu, Tensor):
-            self.mu = Tensor(self.mu)
-        if not isinstance(self.logvar, Tensor):
-            self.logvar = Tensor(self.logvar)
         if self.mu.shape != self.logvar.shape:
             raise ShapeMismatchError(
                 f"mu shape {self.mu.shape} vs logvar shape {self.logvar.shape}"
@@ -44,26 +41,6 @@ class DiagGaussian:
     @property
     def dim(self) -> int:
         return self.mu.shape[-1]
-
-
-def standard_normal(d: int) -> DiagGaussian:
-    return DiagGaussian(Tensor(np.zeros(d)), Tensor(np.zeros(d)))
-
-
-def _check_dim(g: DiagGaussian, z: Tensor, what: str):
-    if z.shape[-1] != g.dim:
-        raise ShapeMismatchError(f"{what}: z width {z.shape[-1]} vs distribution dim {g.dim}")
-
-
-def log_pdf(g: DiagGaussian, z) -> Tensor:
-    """Exact diagonal-Gaussian log density, per row."""
-    if not isinstance(z, Tensor):
-        z = Tensor(z)
-    _check_dim(g, z, "log_pdf")
-    diff = z - g.mu
-    inv_var = (-g.logvar).exp()
-    quad = diff.square() * inv_var
-    return (quad + g.logvar + LOG_2PI).sum(axis=-1) * -0.5
 
 
 def standard_normal_logpdf(z) -> Tensor:
@@ -85,10 +62,8 @@ def kl_to_standard(g: DiagGaussian) -> Tensor:
     return raw.clip(0.0, np.inf)
 
 
-def reparameterize(g: DiagGaussian, eps) -> Tensor:
+def reparameterize(g: DiagGaussian, eps: Tensor) -> Tensor:
     """z = mu + exp(logvar / 2) * eps, differentiable in mu and logvar."""
-    if not isinstance(eps, Tensor):
-        eps = Tensor(eps)
     if eps.shape[-1] != g.dim:
         raise ShapeMismatchError(f"reparameterize: eps width {eps.shape[-1]} vs dim {g.dim}")
     return g.mu + (g.logvar * 0.5).exp() * eps

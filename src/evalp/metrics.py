@@ -15,7 +15,6 @@ from scipy.special import logsumexp
 from .diffcore import Tensor, no_grad
 from .errors import ShapeMismatchError
 from .gauss import standard_normal_logpdf
-from .rng import Rng
 
 logger = logging.getLogger(__name__)
 
@@ -119,25 +118,6 @@ def mmd_rbf(x, y, bandwidth=None) -> float:
     return float(a + b - c)
 
 
-def mmd_permutation_null(x, y, n_permutations: int = 500, seed=0, bandwidth=None) -> np.ndarray:
-    """Null distribution of mmd_rbf under pooled label permutations.
-
-    The bandwidth is fixed from the original pooling so permutations
-    only shuffle labels.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if bandwidth is None:
-        bandwidth = median_bandwidth(x, y)
-    pooled = np.vstack([x, y])
-    rng = seed if isinstance(seed, Rng) else Rng(seed)
-    null = np.zeros(n_permutations)
-    for i in range(n_permutations):
-        perm = rng.permutation(len(pooled))
-        null[i] = mmd_rbf(pooled[perm[: len(x)]], pooled[perm[len(x) :]], bandwidth)
-    return null
-
-
 # ---------------------------------------------------------------------------
 # Frechet-Gaussian proxy
 # ---------------------------------------------------------------------------
@@ -210,31 +190,12 @@ def map_row_blocks(fn, rows: np.ndarray):
     return np.concatenate(parts)
 
 
-def _tilted_log_weights(f, grid: GridSpec):
-    """Grid nodes and their log(quadrature weight * exp(-f) N(0, I))."""
-    if grid.dim > 3:
-        raise ValueError(f"quadrature supports dim <= 3, got {grid.dim}")
-    mesh = grid.mesh()
-    return mesh, map_row_blocks(tilted_log_density(f), mesh) + grid.log_trapezoid_weights()
-
-
 def quadrature_log_z(f, grid: GridSpec) -> float:
     """Trapezoid quadrature of log integral exp(-f(z)) N(z; 0, I) dz."""
-    _, logw = _tilted_log_weights(f, grid)
+    if grid.dim > 3:
+        raise ValueError(f"quadrature supports dim <= 3, got {grid.dim}")
+    logw = map_row_blocks(tilted_log_density(f), grid.mesh()) + grid.log_trapezoid_weights()
     return float(logsumexp(logw))
-
-
-def quadrature_expectation(f, h, grid: GridSpec) -> np.ndarray:
-    """E[h(z)] under the normalized tilted density exp(-f) p_0 / Z.
-
-    ``h`` maps rows to (n,) or (n, k); returns a scalar or (k,) array.
-    """
-    mesh, logw = _tilted_log_weights(f, grid)
-    w = np.exp(logw - logsumexp(logw))
-    hv = np.asarray(h(mesh), dtype=np.float64)
-    if hv.ndim == 1:
-        return float((w * hv).sum())
-    return (w[:, None] * hv).sum(axis=0)
 
 
 def qagg_log_kde(q_samples: np.ndarray):

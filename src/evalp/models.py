@@ -172,8 +172,6 @@ class EnergyFunction:
         )
 
     def __call__(self, z: Tensor) -> Tensor:
-        if not isinstance(z, Tensor):
-            z = Tensor(z)
         if z.shape[-1] != self.nz:
             raise ShapeMismatchError(f"energy input width {z.shape[-1]} vs nz {self.nz}")
         return self.mlp(z)
@@ -195,7 +193,7 @@ class EnergyFunction:
         return {"nz": self.nz, "nd": self.nd}
 
 
-def energy_input_grad(f: EnergyFunction, z) -> Tensor:
+def energy_input_grad(f: EnergyFunction, z: np.ndarray) -> Tensor:
     """Analytic input gradient of the energy, as one tape node over the weights.
 
     The activation-derivative masks come from the energy's forward pass
@@ -204,16 +202,15 @@ def energy_input_grad(f: EnergyFunction, z) -> Tensor:
     built on it. For piecewise-linear activations the frozen masks are
     exact almost everywhere. No gradient flows to ``z`` or the biases.
     """
-    z_arr = z.data if isinstance(z, Tensor) else np.asarray(z, dtype=np.float64)
-    if z_arr.shape[-1] != f.nz:
-        raise ShapeMismatchError(f"energy input width {z_arr.shape[-1]} vs nz {f.nz}")
+    if z.shape[-1] != f.nz:
+        raise ShapeMismatchError(f"energy input width {z.shape[-1]} vs nz {f.nz}")
     mlp = f.mlp
-    _, (_, masks) = mlp.forward_arrays(z_arr, keep=True)
+    _, (_, masks) = mlp.forward_arrays(z, keep=True)
     # Contiguous transposed copies, as the op-by-op route multiplies by: a
     # BLAS product can differ in its last bit with the operands' layout.
     w_t = [w.data.T.copy() for w in mlp.weights]
     n_layers = len(w_t)
-    v = np.ones((z_arr.shape[0], mlp.spec.widths[-1]))
+    v = np.ones((z.shape[0], mlp.spec.widths[-1]))
     masked = [None] * n_layers
     for i in reversed(range(n_layers)):
         if masks[i] is not None:
@@ -305,7 +302,7 @@ class CouplingLayer:
         return out, logdet, ((a, e, y, es, nets) if keep else None)
 
     def pull_forward(self, cache, g_out, g_logdet):
-        """(x grad, parameter grads in ``parameters()`` order) of forward_arrays."""
+        """(x grad, parameter grads in ``named_parameters()`` order) of forward_arrays."""
         a, e, y, es, nets = cache
         g_s = g_logdet[:, None] + g_out * y * es
         g_y, g_bound, g_s_net, g_t_net = self._nets_pull(nets, g_s, g_out)
@@ -319,9 +316,6 @@ class CouplingLayer:
         s, t, _ = self._nets(y, False)
         x = (y - t) * checked_exp(-s) * checked_exp(-self.log_scale.data) - self.shift.data
         return x, -s.sum(axis=-1) - self.log_scale.data.sum()
-
-    def parameters(self):
-        return [p for _, p in self.named_parameters()]
 
     def named_parameters(self, prefix: str = ""):
         out = [
@@ -346,20 +340,19 @@ class FlowSampler:
         self.nh = nh
         self.layers = [CouplingLayer(nz, nh, parity=i, rng=rng) for i in range(n_layers)]
 
-    def forward(self, eps):
+    def forward(self, eps: Tensor):
         """Map base noise to latents; returns (z, per-row log |det J|).
 
         The pass is one tape node over (eps, *parameters). Its output packs
         (z, logdet) into one (B, nz + 1) array; the two returned tensors
         are slices of it.
         """
-        x = eps if isinstance(eps, Tensor) else Tensor(eps)
-        if x.shape[-1] != self.nz:
-            raise ShapeMismatchError(f"flow_forward: width {x.shape[-1]} vs nz {self.nz}")
+        if eps.shape[-1] != self.nz:
+            raise ShapeMismatchError(f"flow_forward: width {eps.shape[-1]} vs nz {self.nz}")
         params = self.parameters()
-        parents = (x, *params)
+        parents = (eps, *params)
         keep = needs_grad(parents)
-        out, logdet, caches = x.data, None, []
+        out, logdet, caches = eps.data, None, []
         for layer in self.layers:
             out, ld, cache = layer.forward_arrays(out, keep)
             logdet = ld if logdet is None else logdet + ld
@@ -422,14 +415,14 @@ class FlowSampler:
         return {"nz": self.nz, "nh": self.nh, "n_layers": len(self.layers)}
 
 
-def flow_terms(f: EnergyFunction, g: FlowSampler, eps):
+def flow_terms(f: EnergyFunction, g: FlowSampler, eps: np.ndarray):
     """Per-sample quantities of the variational log-normalizer at z = g(eps).
 
     Returns (z, f(z), log_ratio) with log_ratio = log p_g(z) - log p_0(z)
     = log N(eps) - logdet - log N(z), the pathwise single-sample
     KL(p_g || p_0) term. Records on the tape unless called under no_grad.
     """
-    eps = eps if isinstance(eps, Tensor) else Tensor(eps)
+    eps = Tensor(eps)
     z, logdet = g.forward(eps)
     fz = f(z)
     log_ratio = standard_normal_logpdf(eps) - logdet - standard_normal_logpdf(z)
@@ -479,9 +472,7 @@ class VaeModel:
         }
 
 
-def vae_encode(m: VaeModel, x) -> DiagGaussian:
-    if not isinstance(x, Tensor):
-        x = Tensor(x)
+def vae_encode(m: VaeModel, x: Tensor) -> DiagGaussian:
     out = m.encoder(x)
     mu = tslice(out, 1, 0, m.nz)
     logvar = tslice(out, 1, m.nz, 2 * m.nz)

@@ -48,13 +48,10 @@ def sample_fast(g: FlowSampler, m: int, seed):
     """One flow pass over base noise; NFE is (1, 0) per sample."""
     if m < 0:
         raise ValueError(f"sample count must be >= 0, got {m}")
-    counter = NfeCounter(fp_flow=1, fp_energy=0, bp=0)
-    if m == 0:
-        return np.zeros((0, g.nz)), counter
     rng = seed if isinstance(seed, Rng) else Rng(seed)
     with no_grad():
         z = map_row_blocks(lambda eps: g.forward(Tensor(eps))[0].data, rng.normal((m, g.nz)))
-    return z, counter
+    return z, NfeCounter(fp_flow=1, fp_energy=0, bp=0)
 
 
 def sir_log_weights(f_vals, log_ratio, weight_mode):

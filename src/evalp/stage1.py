@@ -54,7 +54,7 @@ def observation_log_lik(m: VaeModel, params: Tensor, x: Tensor) -> Tensor:
     return -term.sum(axis=-1)
 
 
-def elbo_loss(m: VaeModel, x, kl_weight: float, eps):
+def elbo_loss(m: VaeModel, x: Tensor, kl_weight: float, eps: Tensor):
     """Negative ELBO with a weighted KL term.
 
     Returns (total, recon, kl) tensors where total = -(recon - kl_weight * kl),
@@ -63,8 +63,6 @@ def elbo_loss(m: VaeModel, x, kl_weight: float, eps):
     """
     if kl_weight < 0:
         raise ValueError(f"kl_weight must be >= 0, got {kl_weight}")
-    if not isinstance(x, Tensor):
-        x = Tensor(x)
     post = vae_encode(m, x)
     z = reparameterize(post, eps)
     decoded = m.decoder(z)

@@ -89,12 +89,10 @@ def sampler_loss(f: EnergyFunction, g: FlowSampler, n: int, seed) -> Tensor:
     return loss
 
 
-def gradient_penalty(f: EnergyFunction, z_q, z_g, seed) -> Tensor:
+def gradient_penalty(f: EnergyFunction, z_q: np.ndarray, z_g: np.ndarray, seed) -> Tensor:
     """Mean squared deviation of the energy's input-gradient norm from 1,
     at uniform interpolates between paired points of the two batches."""
     rng = seed if isinstance(seed, Rng) else Rng(seed)
-    z_q = z_q.data if isinstance(z_q, Tensor) else np.asarray(z_q, dtype=np.float64)
-    z_g = z_g.data if isinstance(z_g, Tensor) else np.asarray(z_g, dtype=np.float64)
     if z_q.shape != z_g.shape:
         raise ShapeMismatchError(f"gradient_penalty: {z_q.shape} vs {z_g.shape}")
     u = rng.uniform((z_q.shape[0], 1))
@@ -104,14 +102,15 @@ def gradient_penalty(f: EnergyFunction, z_q, z_g, seed) -> Tensor:
     return (norm - 1.0).square().mean()
 
 
-def critic_loss(f: EnergyFunction, g: FlowSampler, z_q, lambda_gp: float, seed) -> Tensor:
+def critic_loss(
+    f: EnergyFunction, g: FlowSampler, z_q: np.ndarray, lambda_gp: float, seed
+) -> Tensor:
     """E_q[f] - E_g[f] + lambda * gradient penalty.
 
     Minimizing over the energy parameters maximizes the penalized lower
     bound; the flow batch is detached so no gradient reaches the sampler.
     """
     rng = seed if isinstance(seed, Rng) else Rng(seed)
-    z_q = z_q.data if isinstance(z_q, Tensor) else np.asarray(z_q, dtype=np.float64)
     with no_grad():
         z_g, _ = g.forward(Tensor(rng.normal((z_q.shape[0], g.nz))))
     z_g = z_g.data
@@ -150,7 +149,7 @@ def _evaluate_terms(f, g, z_q: np.ndarray, n: int, lambda_gp: float, rng: Rng) -
         z, fz, log_ratio = flow_terms(f, g, rng.normal((n, g.nz)))
         e_g_f = float(fz.data.mean())
         kl = float(log_ratio.data.mean())
-        gp = float(gradient_penalty(f, z_q, z, rng).data)
+        gp = float(gradient_penalty(f, z_q, z.data, rng).data)
     upper = -e_q_f + e_g_f + kl
     return ObjectiveTerms(
         e_q_f=e_q_f,
@@ -244,10 +243,10 @@ def nce_balanced_batch(sample_q, noise_rng: Rng, nz: int, batch_size: int):
     return z_q, z_p
 
 
-def nce_loss(clf: EnergyFunction, z_q, z_p) -> Tensor:
+def nce_loss(clf: EnergyFunction, z_q: np.ndarray, z_p: np.ndarray) -> Tensor:
     """Balanced logistic loss; the optimal logit is log(q_agg / p_0)."""
-    logit_q = clf(Tensor(z_q) if not isinstance(z_q, Tensor) else z_q)
-    logit_p = clf(Tensor(z_p) if not isinstance(z_p, Tensor) else z_p)
+    logit_q = clf(Tensor(z_q))
+    logit_p = clf(Tensor(z_p))
     return ((-logit_q).softplus().mean() + logit_p.softplus().mean()) * 0.5
 
 

@@ -1,24 +1,49 @@
-"""Per-op reference routes of the fused modules, recorded op by op, and
-the per-parameter Adam update.
+"""Per-op reference routes of the fused modules, the tape ops only tests
+use, and the per-parameter Adam update; the package does not use them.
 
-Each module function computes what a fused module node computes, but
-through the generic tape ops, one node per op. ``adam_step`` is the
+``matmul``, ``transpose`` and the activations record one node each through
+``evalp.diffcore.record``. Each module function computes what a fused node
+computes through these generic ops, one node per op. ``adam_step`` is the
 textbook update on one array per parameter, which the flat, in-place
-``Adam`` must equal bitwise. They are the oracles of ``test_fused.py`` and
-are not used by the package.
+``Adam`` must equal bitwise.
 """
 
 import numpy as np
 
-from evalp.diffcore import Tensor
-from evalp.diffcore.tensor import transpose
+from evalp.diffcore import Tensor, record
+from evalp.errors import ShapeMismatchError
 
-_ACT = {
-    "tanh": lambda t: t.tanh(),
-    "relu": lambda t: t.relu(),
-    "leaky_relu": lambda t: t.leaky_relu(0.01),
-    "none": lambda t: t,
-}
+
+def matmul(a, b):
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+        raise ShapeMismatchError(f"matmul: shapes {a.data.shape} and {b.data.shape} do not conform")
+    return record(a.data @ b.data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
+
+
+def tanh(a):
+    val = np.tanh(a.data)
+    return record(val, (a,), lambda g: (g * (1.0 - val * val),))
+
+
+def relu(a):
+    return record(np.maximum(a.data, 0.0), (a,), lambda g: (g * (a.data > 0.0),))
+
+
+def leaky_relu(a, slope=0.01):
+    if not 0.0 <= slope <= 1.0:
+        raise ValueError(f"leaky_relu slope must be in [0, 1], got {slope}")
+    # max(a, slope * a) picks the branch of a > 0; the subgradient at 0 is the slope.
+    pull = lambda g: (g * np.where(a.data > 0.0, 1.0, slope),)
+    return record(np.maximum(a.data, slope * a.data), (a,), pull)
+
+
+def transpose(a):
+    if a.data.ndim != 2:
+        raise ShapeMismatchError(f"transpose expects a 2-d tensor, got shape {a.data.shape}")
+    return record(a.data.T.copy(), (a,), lambda g: (g.T,))
+
+
+_ACT = {"tanh": tanh, "relu": relu, "leaky_relu": leaky_relu, "none": lambda t: t}
 
 _DERIV = {
     "tanh": lambda h: 1.0 - np.tanh(h) ** 2,
@@ -30,13 +55,13 @@ _DERIV = {
 
 def mlp(net, x):
     for w, b, act in zip(net.weights, net.biases, net.spec.activations):
-        x = _ACT[act](x @ w + b)
+        x = _ACT[act](matmul(x, w) + b)
     return x
 
 
 def _scale_translate(layer, passed):
     anti = 1.0 - layer.mask
-    s = mlp(layer.s_net, passed).tanh() * layer.s_bound * anti
+    s = tanh(mlp(layer.s_net, passed)) * layer.s_bound * anti
     t = mlp(layer.t_net, passed) * anti
     return s, t
 
@@ -85,7 +110,7 @@ def energy_input_grad(f, z):
     for i in reversed(range(len(net.weights))):
         if masks[i] is not None:
             v = v * Tensor(masks[i])
-        v = v @ transpose(net.weights[i])
+        v = matmul(v, transpose(net.weights[i]))
     return v
 
 

@@ -1,7 +1,8 @@
 """CLI tests: one end-to-end pass through every command on a tiny config,
-with every file read back, the exit code of each failure kind, the sweep's
-worker count, and the sweep's NCE SIR against the closed-form linear tilt
-and in row blocks against one block."""
+with every file read back, empty samples, the ``--seed`` flag against the
+config file's seed, the exit code of each failure kind, the sweep's worker
+count, and the sweep's NCE SIR against the closed-form linear tilt and in
+row blocks against one block."""
 
 import csv
 import json
@@ -148,6 +149,27 @@ def trained(tmp_path_factory):
 def test_argument_range_errors_exit_2(tmp_path, trained, argv):
     cfg, models = trained
     assert _run(cfg, tmp_path, *argv[:1], *models, *argv[1:]) == 2
+
+
+@pytest.mark.parametrize("mode", ["fast", "sir"])
+def test_sample_count_0_writes_header_only_csvs(tmp_path, trained, mode):
+    cfg, models = trained
+    assert _run(cfg, tmp_path, "sample", *models, "--mode", mode, "--count", "0") == 0
+    for name, header in [("latents.csv", "z0,z1"), ("samples.csv", "x0,x1")]:
+        assert (tmp_path / name).read_bytes() == f"{header}\r\n".encode()
+
+
+@pytest.mark.parametrize("stage", [{}, {"stage1__seed": 7}], ids=["derived", "explicit_stage1"])
+def test_seed_flag_is_the_config_files_seed(tmp_path, stage):
+    # train-vae --seed 5 on a seed-1 file trains what a seed-5 file trains.
+    assert _run(_config(tmp_path, "one", **stage), tmp_path / "a", "train-vae", "--seed", "5") == 0
+    assert _run(_config(tmp_path, "five", seed=5, **stage), tmp_path / "b", "train-vae") == 0
+    assert (tmp_path / "a" / "vae.ckpt").read_bytes() == (tmp_path / "b" / "vae.ckpt").read_bytes()
+
+
+def test_negative_seed_flag_exits_2(tmp_path, capsys):
+    assert _run(_config(tmp_path), tmp_path, "train-vae", "--seed", "-1") == 2
+    assert "ConfigError" in capsys.readouterr().err
 
 
 def test_unknown_stage1_dataset_key_exits_2(tmp_path):

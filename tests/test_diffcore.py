@@ -1,28 +1,22 @@
 """Engine tests: op semantics, reverse-mode gradients vs central finite
-differences, gradient accumulation, and the Adam update."""
+differences, gradient accumulation, and the Adam update. The package's ops
+are checked together with the ``per_op`` ones built on ``record``."""
 
 import numpy as np
 import pytest
 
-from evalp.diffcore import (
-    Adam,
-    Tensor,
-    backward,
-    clear_tape,
-    forward_op,
-    gradcheck,
-    no_grad,
-    op_kinds,
-)
-from evalp.diffcore.tensor import active_tape
+import per_op
+from evalp.diffcore import Adam, Tensor, active_tape, backward, clear_tape, no_grad
+from evalp.diffcore import tensor as ops
 from evalp.errors import NonFiniteError, ShapeMismatchError
 from evalp.models import LEAKY_SLOPE, Mlp, MlpSpec
 from evalp.rng import Rng
+from oracles import gradcheck
 
 
 class TestForwardOps:
     def test_leaky_relu_negative_slope(self):
-        out = forward_op("leaky_relu", Tensor([-1.0]))
+        out = per_op.leaky_relu(Tensor([-1.0]))
         assert out.data[0] == pytest.approx(-0.01, abs=0)
 
     @pytest.mark.parametrize("slope", [0.01, 0.0, 0.5, 1.0])
@@ -31,7 +25,7 @@ class TestForwardOps:
         x[0, :6] = [0.0, -0.0, 1e-320, -1e-320, 1e300, -1e300]
         g = Rng(1).normal(x.shape)
         t = Tensor(x, requires_grad=True)
-        out = t.leaky_relu(slope)
+        out = per_op.leaky_relu(t, slope)
         backward((out * Tensor(g)).sum())
         want = np.where(x > 0.0, x, slope * x)
         np.testing.assert_array_equal(out.data.view(np.int64), want.view(np.int64))
@@ -56,25 +50,21 @@ class TestForwardOps:
     @pytest.mark.parametrize("slope", [-0.01, 1.5])
     def test_leaky_relu_rejects_a_slope_outside_0_1(self, slope):
         with pytest.raises(ValueError, match="slope"):
-            forward_op("leaky_relu", Tensor([1.0]), slope=slope)
+            per_op.leaky_relu(Tensor([1.0]), slope=slope)
 
     def test_matmul_identity(self):
-        out = forward_op("matmul", Tensor(np.eye(2)), Tensor([[3.0], [4.0]]))
+        out = per_op.matmul(Tensor(np.eye(2)), Tensor([[3.0], [4.0]]))
         np.testing.assert_array_equal(out.data, [[3.0], [4.0]])
 
     def test_sum_of_squares(self):
-        out = forward_op("sum", forward_op("square", Tensor([1.0, 2.0])))
+        out = ops.tsum(ops.square(Tensor([1.0, 2.0])))
         assert out.item() == 5.0
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeMismatchError, match=r"\(2, 3\).*\(4, 2\)"):
-            forward_op("add", Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
+            ops.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
         with pytest.raises(ShapeMismatchError, match=r"\(2, 3\).*\(2, 3\)"):
-            forward_op("matmul", Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
-
-    def test_unknown_kind(self):
-        with pytest.raises(KeyError):
-            forward_op("conv3d", Tensor([1.0]))
+            per_op.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
     def test_broadcast_over_leading_batch_dim(self):
         a = Tensor(np.ones((4, 3)))
@@ -83,7 +73,7 @@ class TestForwardOps:
 
     def test_slice_picks_the_columns(self):
         a = Tensor(np.arange(10.0).reshape(2, 5))
-        back = forward_op("slice", a, axis=1, start=0, stop=3)
+        back = ops.tslice(a, axis=1, start=0, stop=3)
         np.testing.assert_array_equal(back.data, a.data[:, :3])
 
 
@@ -95,7 +85,7 @@ class TestBackward:
 
     def test_tanh_grad_at_zero(self):
         x = Tensor([0.0], requires_grad=True)
-        backward(x.tanh().sum())
+        backward(per_op.tanh(x).sum())
         np.testing.assert_allclose(x.grad, [1.0])
 
     def test_non_scalar_root_rejected(self):
@@ -133,48 +123,43 @@ def _away_from_kinks(rng, shape, margin=0.05):
     return np.where(np.abs(x) < margin, margin + np.abs(x), x)
 
 
-# Inputs per op kind, chosen away from non-differentiable points.
+# Inputs per op, chosen away from non-differentiable points.
 def _op_cases(rng):
     m = lambda shape: _away_from_kinks(rng, shape)
     return {
-        "add": ([Tensor(m((3, 2))), Tensor(m((2,)))], {}),
-        "sub": ([Tensor(m((3, 2))), Tensor(m((3, 2)))], {}),
-        "mul": ([Tensor(m((3, 2))), Tensor(m((2,)))], {}),
-        "matmul": ([Tensor(m((3, 4))), Tensor(m((4, 2)))], {}),
-        "neg": ([Tensor(m((3, 2)))], {}),
-        "exp": ([Tensor(m((3, 2)) * 0.5)], {}),
-        "tanh": ([Tensor(m((3, 2)))], {}),
-        "relu": ([Tensor(m((3, 2)))], {}),
-        "leaky_relu": ([Tensor(m((3, 2)))], {"slope": 0.01}),
-        "softplus": ([Tensor(m((3, 2)))], {}),
-        "sigmoid": ([Tensor(m((3, 2)))], {}),
-        "square": ([Tensor(m((3, 2)))], {}),
-        "sqrt": ([Tensor(np.abs(m((3, 2))) + 0.5)], {}),
-        "clip": ([Tensor(m((3, 2)) * 0.3)], {"lo": -1.0, "hi": 1.0}),
-        "sum": ([Tensor(m((3, 2)))], {"axis": 1}),
-        "mean": ([Tensor(m((3, 2)))], {"axis": 0}),
-        "slice": ([Tensor(m((3, 4)))], {"axis": 1, "start": 1, "stop": 3}),
-        "transpose": ([Tensor(m((3, 2)))], {}),
+        ops.add: ([Tensor(m((3, 2))), Tensor(m((2,)))], {}),
+        ops.sub: ([Tensor(m((3, 2))), Tensor(m((3, 2)))], {}),
+        ops.mul: ([Tensor(m((3, 2))), Tensor(m((2,)))], {}),
+        per_op.matmul: ([Tensor(m((3, 4))), Tensor(m((4, 2)))], {}),
+        ops.neg: ([Tensor(m((3, 2)))], {}),
+        ops.exp: ([Tensor(m((3, 2)) * 0.5)], {}),
+        per_op.tanh: ([Tensor(m((3, 2)))], {}),
+        per_op.relu: ([Tensor(m((3, 2)))], {}),
+        per_op.leaky_relu: ([Tensor(m((3, 2)))], {"slope": 0.01}),
+        ops.softplus: ([Tensor(m((3, 2)))], {}),
+        ops.sigmoid: ([Tensor(m((3, 2)))], {}),
+        ops.square: ([Tensor(m((3, 2)))], {}),
+        ops.sqrt: ([Tensor(np.abs(m((3, 2))) + 0.5)], {}),
+        ops.clip: ([Tensor(m((3, 2)) * 0.3)], {"lo": -1.0, "hi": 1.0}),
+        ops.tsum: ([Tensor(m((3, 2)))], {"axis": 1}),
+        ops.tmean: ([Tensor(m((3, 2)))], {"axis": 0}),
+        ops.tslice: ([Tensor(m((3, 4)))], {"axis": 1, "start": 1, "stop": 3}),
+        per_op.transpose: ([Tensor(m((3, 2)))], {}),
     }
 
 
 class TestGradients:
-    def test_every_registered_kind_matches_finite_differences(self, rng):
-        cases = _op_cases(rng)
-        missing = set(op_kinds()) - set(cases)
-        assert not missing, f"ops without a gradient case: {missing}"
-        for kind, (inputs, params) in cases.items():
-            probe = rng.normal(forward_op(kind, *inputs, **params).shape)
-            err = gradcheck(lambda *ts: (forward_op(kind, *ts, **params) * probe).sum(), inputs)
-            assert err < 1e-5, f"{kind}: relative error {err}"
+    def test_every_op_matches_finite_differences(self, rng):
+        for op, (inputs, params) in _op_cases(rng).items():
+            probe = rng.normal(op(*inputs, **params).shape)
+            err = gradcheck(lambda *ts: (op(*ts, **params) * probe).sum(), inputs)
+            assert err < 1e-5, f"{op.__name__}: relative error {err}"
 
     def test_gradcheck_sum_of_squares_is_tight(self):
-        err = gradcheck(lambda x: x.square().sum(), Tensor([1.0, 2.0]))
+        err = gradcheck(lambda x: x.square().sum(), [Tensor([1.0, 2.0])])
         assert err < 1e-10
 
     def test_gradcheck_random_mlp_head(self, rng):
-        from evalp.models import Mlp, MlpSpec
-
         net = Mlp(MlpSpec((3, 8, 8, 1), ("tanh", "tanh", "none")), rng)
         x = Tensor(rng.normal((5, 3)))
         err = gradcheck(lambda *ps: net(x).mean(), net.parameters())

@@ -11,10 +11,11 @@ from scipy.special import logsumexp
 
 from evalp import metrics
 from evalp.diffcore import Tensor, no_grad
-from evalp.metrics import default_grid, quadrature_expectation
+from evalp.metrics import default_grid
 from evalp.models import EnergyFunction, FlowSampler, default_sizes, flow_terms
 from evalp.rng import Rng
 from evalp.sampling import SirConfig, resample, sample_fast, sample_sir_batch
+from oracles import quadrature_expectation
 from tests.test_models import linear_region_energy, perturbed_flow
 
 # Normalized weights 1/4, 1/4, 1/2: the cdf is exactly 0.25, 0.5, 1.

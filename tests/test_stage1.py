@@ -10,7 +10,7 @@ from evalp.data import make_gaussian_ring
 from evalp.diffcore import Tensor
 from evalp.errors import TrainingDivergedError
 from evalp.gauss import LOG_2PI
-from evalp.metrics import mmd_permutation_null, mmd_rbf
+from evalp.metrics import mmd_rbf
 from evalp.models import VaeModel
 from evalp.rng import Rng
 from evalp.stage1 import (
@@ -19,6 +19,7 @@ from evalp.stage1 import (
     elbo_loss,
     train_vae,
 )
+from oracles import mmd_permutation_null
 
 
 def linear_gaussian_vae(w=0.8, b=0.3, enc=(0.4, 0.1, -0.2, -0.5)):
