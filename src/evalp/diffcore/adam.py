@@ -21,7 +21,9 @@ class Adam:
 
     A parameter without a gradient takes a zero-gradient step. A parameter
     whose ``data`` was re-bound elsewhere since the last step is read back
-    into the parameter vector first.
+    into the parameter vector first. ``flat`` is the parameter vector;
+    while no ``p.data`` is re-bound, an in-place write to it sets the
+    parameters.
     """
 
     def __init__(self, params: list[Tensor], lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -30,7 +32,7 @@ class Adam:
         self.t = 0
         bounds = np.cumsum([0] + [p.data.size for p in self.params])
         self._slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-        self._flat, self._m, self._v, self._grad, self._s1, self._s2 = (
+        self.flat, self._m, self._v, self._grad, self._s1, self._s2 = (
             np.zeros(bounds[-1]) for _ in range(6)
         )
         self._views = [self._bind(i) for i in range(len(self.params))]
@@ -38,8 +40,8 @@ class Adam:
     def _bind(self, i):
         """Copy parameter i into the parameter vector; return its view there."""
         p, sl = self.params[i], self._slices[i]
-        self._flat[sl] = p.data.reshape(-1)
-        p.data = self._flat[sl].reshape(p.data.shape)
+        self.flat[sl] = p.data.reshape(-1)
+        p.data = self.flat[sl].reshape(p.data.shape)
         return p.data
 
     def step(self):
@@ -70,7 +72,7 @@ class Adam:
         np.sqrt(s2, out=s2)
         s2 += self.eps
         s1 /= s2
-        self._flat -= s1
+        self.flat -= s1
 
     def zero_grad(self):
         for p in self.params:

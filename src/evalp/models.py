@@ -481,11 +481,9 @@ def vae_encode(m: VaeModel, x: Tensor) -> DiagGaussian:
 
 # Default sizes: image-scale latents use the wider nets, 2-d toys the
 # narrower ones.
-MNIST_SIZES = {"nz": 16, "nd": 128, "nh": 128, "n_layers": 3}
-TOY2D_SIZES = {"nz": 2, "nd": 64, "nh": 64, "n_layers": 4}
+MNIST_SIZES = {"nd": 128, "nh": 128, "n_layers": 3}
+TOY2D_SIZES = {"nd": 64, "nh": 64, "n_layers": 4}
 
 
 def default_sizes(nz: int) -> dict:
-    sizes = dict(TOY2D_SIZES if nz <= 4 else MNIST_SIZES)
-    sizes["nz"] = nz
-    return sizes
+    return dict(TOY2D_SIZES if nz <= 4 else MNIST_SIZES)

@@ -5,8 +5,10 @@ to its normalizer. The flow sampler realizes the variational form of the
 log-normalizer, which turns prior learning into an alternating scheme:
 the sampler minimizes an upper-bound objective, the energy (acting as a
 critic) maximizes a gradient-penalized lower bound, five critic updates
-per sampler update by default. Also hosts the NCE density-ratio
-baseline that ``sweep-kl`` compares against.
+per sampler update by default. Each iteration logs the terms its steps
+computed; the critic returned is the uniform (Polyak) mean of its late
+iterates. Also hosts the NCE density-ratio baseline that ``sweep-kl``
+compares against.
 """
 
 from __future__ import annotations
@@ -51,9 +53,13 @@ class Stage2Config:
 class ObjectiveTerms:
     """Logged per-iteration quantities of the alternating objectives.
 
-    upper = -e_q_f + e_g_f + kl_g_p0 (the sampler objective plus the
-    critic's data term, up to the stage-1 ELBO constant) and
-    lower = upper - lambda * gp, so lower <= upper holds by construction.
+    ``e_q_f`` and ``gp`` are the last critic step's q-batch energy mean and
+    gradient penalty; ``e_g_f`` and ``kl_g_p0`` are the sampler step's
+    flow-batch energy mean and KL estimate. upper = -e_q_f + e_g_f +
+    kl_g_p0 (the sampler objective plus the critic's data term, up to the
+    stage-1 ELBO constant), lower = upper - lambda * gp, so lower <= upper
+    holds by construction, and logz_est = -(e_g_f + kl_g_p0) is minus the
+    sampler loss.
     """
 
     e_q_f: float
@@ -72,21 +78,23 @@ class PriorTrainHistory:
     sampler_updates: int = 0
 
 
-def sampler_loss(f: EnergyFunction, g: FlowSampler, n: int, seed) -> Tensor:
+def sampler_loss(f: EnergyFunction, g: FlowSampler, n: int, seed) -> tuple[Tensor, float, float]:
     """Monte-Carlo sampler objective E_g[f] + KL(p_g || p_0).
 
     Differentiable w.r.t. the flow parameters only; the energy is treated
     as a constant. Minimizing it tightens the upper bound; its negation
-    at the optimum is the variational log-normalizer.
+    at the optimum is the variational log-normalizer. Returns
+    (loss, E_g[f], KL) with the two terms as floats.
     """
     if n <= 0:
         raise ValueError(f"batch size must be positive, got {n}")
     rng = seed if isinstance(seed, Rng) else Rng(seed)
     _, fz, log_ratio = flow_terms(f.detached(), g, rng.normal((n, g.nz)))
-    loss = fz.mean() + log_ratio.mean()
+    e_g_f, kl = fz.mean(), log_ratio.mean()
+    loss = e_g_f + kl
     if not np.isfinite(loss.data):
         raise NonFiniteError(f"sampler_loss is not finite ({loss.data})")
-    return loss
+    return loss, e_g_f.item(), kl.item()
 
 
 def gradient_penalty(f: EnergyFunction, z_q: np.ndarray, z_g: np.ndarray, seed) -> Tensor:
@@ -104,22 +112,24 @@ def gradient_penalty(f: EnergyFunction, z_q: np.ndarray, z_g: np.ndarray, seed) 
 
 def critic_loss(
     f: EnergyFunction, g: FlowSampler, z_q: np.ndarray, lambda_gp: float, seed
-) -> Tensor:
+) -> tuple[Tensor, float, float]:
     """E_q[f] - E_g[f] + lambda * gradient penalty.
 
     Minimizing over the energy parameters maximizes the penalized lower
     bound; the flow batch is detached so no gradient reaches the sampler.
+    Returns (loss, E_q[f], penalty) with the two terms as floats.
     """
     rng = seed if isinstance(seed, Rng) else Rng(seed)
     with no_grad():
         z_g, _ = g.forward(Tensor(rng.normal((z_q.shape[0], g.nz))))
     z_g = z_g.data
-    loss = f(Tensor(z_q)).mean() - f(Tensor(z_g)).mean() + gradient_penalty(
-        f, z_q, z_g, rng
-    ) * lambda_gp
+    e_q_f = f(Tensor(z_q)).mean()
+    gap = e_q_f - f(Tensor(z_g)).mean()
+    gp = gradient_penalty(f, z_q, z_g, rng)
+    loss = gap + gp * lambda_gp
     if not np.isfinite(loss.data):
         raise NonFiniteError(f"critic_loss is not finite ({loss.data})")
-    return loss
+    return loss, e_q_f.item(), gp.item()
 
 
 def log_z_variational_samples(f: EnergyFunction, g: FlowSampler, n: int, seed) -> np.ndarray:
@@ -143,31 +153,16 @@ def log_z_variational_estimate(f: EnergyFunction, g: FlowSampler, n: int, seed) 
     return est
 
 
-def _evaluate_terms(f, g, z_q: np.ndarray, n: int, lambda_gp: float, rng: Rng) -> ObjectiveTerms:
-    with no_grad():
-        e_q_f = float(f(Tensor(z_q)).data.mean())
-        z, fz, log_ratio = flow_terms(f, g, rng.normal((n, g.nz)))
-        e_g_f = float(fz.data.mean())
-        kl = float(log_ratio.data.mean())
-        gp = float(gradient_penalty(f, z_q, z.data, rng).data)
-    upper = -e_q_f + e_g_f + kl
-    return ObjectiveTerms(
-        e_q_f=e_q_f,
-        e_g_f=e_g_f,
-        kl_g_p0=kl,
-        gp=gp,
-        upper=upper,
-        lower=upper - lambda_gp * gp,
-        logz_est=-(e_g_f + kl),
-    )
-
-
 def train_tilted_prior(sample_q, nz: int, cfg: Stage2Config, iters_per_epoch: int):
     """Alternating optimization against a latent sample source.
 
     ``sample_q(batch_size)`` must return fresh aggregate-posterior draws.
-    Per iteration: k critic updates on fresh batches, one sampler update,
-    then a read-only term evaluation appended to the history.
+    Per iteration: k critic updates on fresh batches, then one sampler
+    update; the history row holds the terms those steps computed (see
+    ``ObjectiveTerms``). The returned energy is the uniform mean of the
+    critic's iterates after each iteration's critic updates, over the last
+    fifth of the iterations (at least one); the flow trains against the
+    live critic.
     """
     rng = Rng(cfg.seed)
     init_rng = rng.spawn()
@@ -179,32 +174,34 @@ def train_tilted_prior(sample_q, nz: int, cfg: Stage2Config, iters_per_epoch: in
     opt_f = Adam(f.parameters(), lr=cfg.lr_energy, beta1=0.5, beta2=0.9)
     opt_g = Adam(g.parameters(), lr=cfg.lr_sampler, beta1=0.5, beta2=0.9)
     history = PriorTrainHistory()
+    iters = cfg.epochs * iters_per_epoch
+    average_from = iters - max(1, iters // 5)
+    critic_sum = np.zeros_like(opt_f.flat)
 
-    for _epoch in range(cfg.epochs):
-        for _it in range(iters_per_epoch):
-            try:
-                for _ in range(cfg.critic_steps_per_sampler):
-                    z_q = sample_q(cfg.batch_size)
-                    opt_f.zero_grad()
-                    loss = critic_loss(f, g, z_q, cfg.lambda_gp, rng)
-                    backward(loss)
-                    opt_f.step()
-                    history.critic_updates += 1
-                opt_g.zero_grad()
-                loss = sampler_loss(f, g, cfg.batch_size, rng)
+    for it in range(iters):
+        try:
+            for _ in range(cfg.critic_steps_per_sampler):
+                z_q = sample_q(cfg.batch_size)
+                opt_f.zero_grad()
+                loss, e_q_f, gp = critic_loss(f, g, z_q, cfg.lambda_gp, rng)
                 backward(loss)
-                opt_g.step()
-                history.sampler_updates += 1
-                terms = _evaluate_terms(
-                    f, g, sample_q(cfg.batch_size), cfg.batch_size, cfg.lambda_gp, rng
-                )
-            except (NonFiniteError, DomainError) as e:
-                raise TrainingDivergedError(f"stage-2 training diverged: {e}") from e
-            if abs(terms.e_q_f) > DIVERGENCE_LIMIT or abs(terms.e_g_f) > DIVERGENCE_LIMIT:
-                raise TrainingDivergedError(
-                    f"stage-2 diverged: e_q_f={terms.e_q_f}, e_g_f={terms.e_g_f}"
-                )
-            history.rows.append(terms)
+                opt_f.step()
+                history.critic_updates += 1
+            if it >= average_from:
+                critic_sum += opt_f.flat
+            opt_g.zero_grad()
+            loss, e_g_f, kl = sampler_loss(f, g, cfg.batch_size, rng)
+            backward(loss)
+            opt_g.step()
+            history.sampler_updates += 1
+        except (NonFiniteError, DomainError) as e:
+            raise TrainingDivergedError(f"stage-2 training diverged: {e}") from e
+        if abs(e_q_f) > DIVERGENCE_LIMIT or abs(e_g_f) > DIVERGENCE_LIMIT:
+            raise TrainingDivergedError(f"stage-2 diverged: e_q_f={e_q_f}, e_g_f={e_g_f}")
+        upper = -e_q_f + e_g_f + kl
+        lower = upper - cfg.lambda_gp * gp
+        history.rows.append(ObjectiveTerms(e_q_f, e_g_f, kl, gp, upper, lower, -(e_g_f + kl)))
+    opt_f.flat[:] = critic_sum / (iters - average_from)
     return f, g, history
 
 
@@ -236,13 +233,6 @@ def train_prior(vae, data, cfg: Stage2Config):
 # ---------------------------------------------------------------------------
 
 
-def nce_balanced_batch(sample_q, noise_rng: Rng, nz: int, batch_size: int):
-    """Equal-count positive (aggregate posterior) / negative (noise) batch."""
-    z_q = sample_q(batch_size)
-    z_p = noise_rng.normal((batch_size, nz))
-    return z_q, z_p
-
-
 def nce_loss(clf: EnergyFunction, z_q: np.ndarray, z_p: np.ndarray) -> Tensor:
     """Balanced logistic loss; the optimal logit is log(q_agg / p_0)."""
     logit_q = clf(Tensor(z_q))
@@ -268,7 +258,8 @@ def train_nce_ratio_baseline(vae, data, cfg: Stage2Config):
     for epoch in range(cfg.epochs):
         loss_sum = 0.0
         for _ in range(iters):
-            z_q, z_p = nce_balanced_batch(sample_q, noise_rng, vae.nz, cfg.batch_size)
+            z_q = sample_q(cfg.batch_size)
+            z_p = noise_rng.normal((cfg.batch_size, vae.nz))
             opt.zero_grad()
             loss = nce_loss(clf, z_q, z_p)
             if not np.isfinite(loss.data):

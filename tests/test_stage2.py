@@ -4,6 +4,7 @@ quadrature oracles, the update schedule, and both baselines."""
 import numpy as np
 import pytest
 
+from evalp import stage2
 from evalp.diffcore import Tensor, backward, clear_tape, no_grad
 from evalp.errors import ShapeMismatchError, TrainingDivergedError
 from evalp.gauss import LOG_2PI, standard_normal_logpdf
@@ -16,7 +17,6 @@ from evalp.stage2 import (
     gradient_penalty,
     log_z_variational_estimate,
     log_z_variational_samples,
-    nce_balanced_batch,
     nce_loss,
     sampler_loss,
     train_nce_ratio_baseline,
@@ -38,12 +38,12 @@ class TestSamplerLoss:
     def test_zero_energy_identity_flow_gives_zero(self):
         f = constant_energy(2, 0.0)
         g = FlowSampler(2, 8, 3)
-        assert sampler_loss(f, g, 64, seed=0).item() == 0.0
+        assert sampler_loss(f, g, 64, seed=0)[0].item() == 0.0
 
     def test_constant_energy_gives_constant(self):
         f = constant_energy(2, 1.75)
         g = FlowSampler(2, 8, 3)
-        assert sampler_loss(f, g, 64, seed=0).item() == pytest.approx(1.75, abs=1e-12)
+        assert sampler_loss(f, g, 64, seed=0)[0].item() == pytest.approx(1.75, abs=1e-12)
 
     def test_rejects_nonpositive_batch(self):
         with pytest.raises(ValueError):
@@ -55,7 +55,7 @@ class TestSamplerLoss:
         clear_tape()
         for p in f.parameters() + g.parameters():
             p.grad = None
-        backward(sampler_loss(f, g, 32, seed=2))
+        backward(sampler_loss(f, g, 32, seed=2)[0])
         assert all(p.grad is None for p in f.parameters())
         assert any(p.grad is not None and np.any(p.grad != 0) for p in g.parameters())
 
@@ -105,13 +105,13 @@ class TestCriticLoss:
         g = FlowSampler(2, 8, 3)
         seed = 123
         z_q = Rng(seed).normal((32, 2))
-        assert critic_loss(f, g, z_q, 10.0, seed=seed).item() == pytest.approx(0.0, abs=1e-12)
+        assert critic_loss(f, g, z_q, 10.0, seed=seed)[0].item() == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_energy_gives_lambda(self, rng):
         f = constant_energy(2, 2.0)
         g = FlowSampler(2, 8, 3)
         lam = 7.5
-        assert critic_loss(f, g, rng.normal((32, 2)), lam, seed=3).item() == pytest.approx(
+        assert critic_loss(f, g, rng.normal((32, 2)), lam, seed=3)[0].item() == pytest.approx(
             lam, abs=1e-12
         )
 
@@ -119,7 +119,7 @@ class TestCriticLoss:
         f = EnergyFunction(2, 8, rng)
         g = perturbed_flow(2, 8, 2, seed=4, scale=0.2)
         z_q = rng.normal((8, 2))
-        err = gradcheck(lambda *ps: critic_loss(f, g, z_q, 10.0, seed=11), f.parameters())
+        err = gradcheck(lambda *ps: critic_loss(f, g, z_q, 10.0, seed=11)[0], f.parameters())
         assert err < 1e-4
 
 
@@ -203,7 +203,7 @@ def train_flow_on_fixed_energy(f, nz, steps=1200, batch=256, lr=5e-3, seed=0):
     opt = Adam(g.parameters(), lr=lr, beta1=0.5, beta2=0.9)
     for _ in range(steps):
         opt.zero_grad()
-        backward(sampler_loss(f, g, batch, rng))
+        backward(sampler_loss(f, g, batch, rng)[0])
         opt.step()
     return g
 
@@ -244,6 +244,52 @@ class TestTrainTiltedPrior:
             if row.gp == 0.0:
                 assert row.lower == row.upper
         assert all(np.isfinite([r.upper, r.lower, r.logz_est]).all() for r in history.rows)
+
+    def test_rows_hold_the_last_critic_step_and_the_sampler_step_terms(self, monkeypatch):
+        calls = {"critic": [], "sampler": []}
+
+        def recording(name, original):
+            def wrapped(*args):
+                out = original(*args)
+                calls[name].append(out)
+                return out
+
+            return wrapped
+
+        monkeypatch.setattr(stage2, "critic_loss", recording("critic", stage2.critic_loss))
+        monkeypatch.setattr(stage2, "sampler_loss", recording("sampler", stage2.sampler_loss))
+        rng = Rng(62)
+        sample_q = lambda n: rng.normal((n, 2)) + [0.5, 0.0]
+        cfg = Stage2Config(epochs=2, batch_size=32, seed=3)
+        _, _, history = train_tilted_prior(sample_q, 2, cfg, iters_per_epoch=3)
+        k = cfg.critic_steps_per_sampler
+        assert len(history.rows) == len(calls["sampler"]) == 6
+        assert len(calls["critic"]) == 6 * k
+        for i, row in enumerate(history.rows):
+            _, e_q_f, gp = calls["critic"][(i + 1) * k - 1]
+            loss, e_g_f, kl = calls["sampler"][i]
+            assert (row.e_q_f, row.gp) == (e_q_f, gp)
+            assert (row.e_g_f, row.kl_g_p0) == (e_g_f, kl)
+            assert row.logz_est == pytest.approx(-loss.item(), abs=1e-12)
+
+    def test_returned_critic_is_the_mean_of_the_last_fifth_of_iterates(self, monkeypatch):
+        # One snapshot per iteration, taken when the sampler step starts,
+        # after that iteration's critic updates.
+        snapshots = []
+        original = stage2.sampler_loss
+
+        def snapshot(f, *args):
+            snapshots.append(np.concatenate([p.data.ravel() for p in f.parameters()]))
+            return original(f, *args)
+
+        monkeypatch.setattr(stage2, "sampler_loss", snapshot)
+        rng = Rng(64)
+        sample_q = lambda n: rng.normal((n, 2)) * 0.8 + [0.5, -0.5]
+        cfg = Stage2Config(epochs=5, batch_size=32, seed=4)
+        f, _, _ = train_tilted_prior(sample_q, 2, cfg, iters_per_epoch=2)
+        assert len(snapshots) == 10
+        returned = np.concatenate([p.data.ravel() for p in f.parameters()])
+        np.testing.assert_allclose(returned, np.mean(snapshots[-2:], axis=0), rtol=0, atol=1e-12)
 
     def test_divergence_detector(self):
         # An absurd learning rate blows the energy past the guard.
@@ -309,10 +355,6 @@ def ring_posterior_vae():
 
 
 class TestNceBaseline:
-    def test_balanced_batch_counts(self, rng):
-        z_q, z_p = nce_balanced_batch(lambda n: rng.normal((n, 2)), rng, 2, 50)
-        assert len(z_q) == len(z_p) == 50
-
     def test_indistinguishable_classes_give_small_logit(self, ring_data, rng):
         vae = VaeModel(2, 2, hidden=(8,))  # q_agg = N(0, I) = noise class
         cfg = Stage2Config(epochs=40, batch_size=100, seed=6)
