@@ -11,14 +11,15 @@ it. One tape per optimization step keeps memory bounded; wrap pure
 evaluation in ``no_grad()`` so it records nothing.
 
 The elementwise, reduction and slice ops below record one node each;
-they are the ones the package's losses reach, through the ``Tensor``
-operators and methods. Modules (an MLP, a flow's forward pass, the
-energy's input gradient) instead compute on arrays and ``record`` one node
-for the whole call, whose pull is the module's closed-form reverse pass;
-any other op is built on ``record`` the same way. Such a module caches the
-intermediates its pull needs only when the node is recorded; a pass
-outside the tape (under ``no_grad``, or with no input that requires grad)
-caches no derivatives.
+they are the ones the stage-2 losses and the flow terms reach, through
+the ``Tensor`` operators and methods. Modules (an MLP, a flow's forward
+pass, the energy's input gradient) and the whole stage-1 ELBO instead
+compute on arrays and ``record`` one node for the whole call, whose pull
+is the closed-form reverse pass; any other op is built on ``record`` the
+same way. Such a node caches the intermediates its pull needs only when
+it is recorded; a pass outside the tape (under ``no_grad``, or with no
+input that requires grad) caches no derivatives. ``checked_exp`` and
+``stable_sigmoid`` are the array helpers those passes share.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "needs_grad",
     "record",
     "checked_exp",
+    "stable_sigmoid",
 ]
 
 
@@ -126,9 +128,6 @@ class Tensor:
     def __neg__(self):
         return neg(self)
 
-    def exp(self):
-        return exp(self)
-
     def softplus(self):
         return softplus(self)
 
@@ -137,12 +136,6 @@ class Tensor:
 
     def sqrt(self):
         return sqrt(self)
-
-    def sigmoid(self):
-        return sigmoid(self)
-
-    def clip(self, lo, hi):
-        return clip(self, lo=lo, hi=hi)
 
     def sum(self, axis=None):
         return tsum(self, axis=axis)
@@ -186,6 +179,13 @@ def checked_exp(x):
     if not np.all(np.isfinite(val)):
         raise DomainError("exp overflow: input too large")
     return val
+
+
+def stable_sigmoid(x):
+    """Logistic sigmoid of an array; exp only ever sees -|x|, so it cannot overflow."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def _unbroadcast(grad, shape):
@@ -271,13 +271,6 @@ def neg(a):
     return _record(out, (a,), lambda g: (-g,))
 
 
-def exp(a):
-    a = _as_tensor(a)
-    val = checked_exp(a.data)
-    out = Tensor._wrap(val)
-    return _record(out, (a,), lambda g: (g * val,))
-
-
 def softplus(a):
     a = _as_tensor(a)
     # log(1 + e^x) = max(x, 0) + log1p(e^{-|x|}), overflow-safe.
@@ -285,25 +278,9 @@ def softplus(a):
     out = Tensor._wrap(val)
 
     def pull(g):
-        return (g * _sigmoid_np(a.data),)
+        return (g * stable_sigmoid(a.data),)
 
     return _record(out, (a,), pull)
-
-
-def _sigmoid_np(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
-def sigmoid(a):
-    a = _as_tensor(a)
-    val = _sigmoid_np(a.data)
-    out = Tensor._wrap(val)
-    return _record(out, (a,), lambda g: (g * val * (1.0 - val),))
 
 
 def square(a):
@@ -324,13 +301,6 @@ def sqrt(a):
         return (g / (2.0 * np.maximum(val, 1e-150)),)
 
     return _record(out, (a,), pull)
-
-
-def clip(a, lo, hi):
-    a = _as_tensor(a)
-    out = Tensor._wrap(np.clip(a.data, lo, hi))
-    mask = (a.data >= lo) & (a.data <= hi)
-    return _record(out, (a,), lambda g: (g * mask,))
 
 
 def tsum(a, axis=None):

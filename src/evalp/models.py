@@ -8,9 +8,11 @@ base noise to latents; inverse maps latents back and is exact.
 Each module call is one tape node: ``Mlp.__call__``, ``FlowSampler.forward``
 and ``energy_input_grad`` compute on arrays and record a closed-form pull
 over their input and parameters. They cache the layer inputs and
-activation-derivative factors only when the node is recorded. The flow's
-inverse and ``log_pdf`` only evaluate densities: they take and return
-arrays and record nothing.
+activation-derivative factors only when the node is recorded. The VAE
+records no node of its own: ``stage1.elbo_loss`` runs its encoder and
+decoder through ``Mlp.forward_arrays``/``pull_arrays`` inside one node for
+the whole ELBO. The flow's inverse and ``log_pdf`` only evaluate
+densities: they take and return arrays and record nothing.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from .diffcore import Tensor, needs_grad, record
 from .diffcore.tensor import checked_exp, tslice
 from .errors import ShapeMismatchError
-from .gauss import DiagGaussian, standard_normal_logpdf
+from .gauss import standard_normal_logpdf
 from .rng import Rng
 
 LEAKY_SLOPE = 0.01
@@ -440,8 +442,9 @@ OBS_MODELS = ("gaussian", "bernoulli")
 class VaeModel:
     """Diagonal-Gaussian encoder plus MLP decoder.
 
-    ``obs_model`` is "gaussian" (fixed unit variance, decoder emits the
-    mean) or "bernoulli" (decoder emits logits).
+    The encoder emits 2 * nz columns: the posterior mean, then the
+    log-variance. ``obs_model`` is "gaussian" (fixed unit variance,
+    decoder emits the mean) or "bernoulli" (decoder emits logits).
     """
 
     def __init__(self, data_dim, nz, hidden=(64, 64), obs_model="gaussian", rng=None):
@@ -470,13 +473,6 @@ class VaeModel:
             "hidden": list(self.hidden),
             "obs_model": self.obs_model,
         }
-
-
-def vae_encode(m: VaeModel, x: Tensor) -> DiagGaussian:
-    out = m.encoder(x)
-    mu = tslice(out, 1, 0, m.nz)
-    logvar = tslice(out, 1, m.nz, 2 * m.nz)
-    return DiagGaussian(mu, logvar)
 
 
 # Default sizes: image-scale latents use the wider nets, 2-d toys the

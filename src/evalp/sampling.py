@@ -10,6 +10,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .diffcore import Tensor, no_grad
+from .diffcore.tensor import stable_sigmoid
 from .errors import ShapeMismatchError
 from .metrics import map_row_blocks
 from .models import EnergyFunction, FlowSampler, VaeModel, flow_terms
@@ -22,7 +23,7 @@ WEIGHT_MODES = ("paper_literal", "tilted_base")
 class SirConfig:
     proposals: int = 500  # M
     seed: int = 0
-    weight_mode: str = "paper_literal"
+    weight_mode: str = "tilted_base"
 
     def __post_init__(self):
         if self.proposals < 1:
@@ -57,11 +58,12 @@ def sample_fast(g: FlowSampler, m: int, seed):
 def sir_log_weights(f_vals, log_ratio, weight_mode):
     """Un-normalized log importance weights for one proposal row set.
 
-    ``log_ratio`` is log p_g - log p_0 of each proposal. ``paper_literal``
-    divides the tilt by an estimated normalizer Z-hat; that is one constant
-    over a sample's proposals, so it cancels after self-normalization and
-    the weights are -f. ``tilted_base`` targets exp(-f) * p_0 under the flow
-    proposal.
+    ``log_ratio`` is log p_g - log p_0 of each proposal. ``tilted_base``
+    (the default) targets the tilted prior exp(-f) * p_0 under the flow
+    proposal. ``paper_literal`` divides the tilt by an estimated normalizer
+    Z-hat; that is one constant over a sample's proposals, so it cancels
+    after self-normalization and the weights are -f, which reweight p_g:
+    its picks follow exp(-f) * p_g, not the tilted prior.
     """
     if weight_mode == "paper_literal":
         return -f_vals
@@ -126,5 +128,5 @@ def generate(vae: VaeModel, latents: np.ndarray) -> np.ndarray:
     if latents.shape[-1] != vae.nz:
         raise ShapeMismatchError(f"latent width {latents.shape[-1]} vs nz {vae.nz}")
     with no_grad():
-        out = vae.decoder(Tensor(latents))
-        return (out.sigmoid() if vae.obs_model == "bernoulli" else out).data
+        out = vae.decoder(Tensor(latents)).data
+    return stable_sigmoid(out) if vae.obs_model == "bernoulli" else out

@@ -6,9 +6,10 @@ from scipy.special import logsumexp
 
 from evalp.diffcore import Tensor, backward, clear_tape, no_grad
 from evalp.errors import ShapeMismatchError
-from evalp.gauss import LOG_2PI, DiagGaussian
+from evalp.gauss import LOG_2PI
 from evalp.metrics import GridSpec, map_row_blocks, median_bandwidth, mmd_rbf, tilted_log_density
 from evalp.rng import Rng
+from per_op import DiagGaussian, exp
 
 
 def gradcheck(fn, points, h: float = 1e-5) -> float:
@@ -58,7 +59,7 @@ def log_pdf(g: DiagGaussian, z: Tensor) -> Tensor:
     """Exact diagonal-Gaussian log density, per row."""
     if z.shape[-1] != g.dim:
         raise ShapeMismatchError(f"log_pdf: z width {z.shape[-1]} vs distribution dim {g.dim}")
-    quad = (z - g.mu).square() * (-g.logvar).exp()
+    quad = (z - g.mu).square() * exp(-g.logvar)
     return (quad + g.logvar + LOG_2PI).sum(axis=-1) * -0.5
 
 

@@ -1,17 +1,22 @@
-"""Per-op reference routes of the fused modules, the tape ops only tests
+"""Per-op reference routes of the fused nodes, the tape ops only tests
 use, and the per-parameter Adam update; the package does not use them.
 
-``matmul``, ``transpose`` and the activations record one node each through
-``evalp.diffcore.record``. Each module function computes what a fused node
-computes through these generic ops, one node per op. ``adam_step`` is the
-textbook update on one array per parameter, which the flat, in-place
-``Adam`` must equal bitwise.
+``matmul``, ``transpose``, ``exp``, ``clip``, ``sigmoid`` and the
+activations record one node each through ``evalp.diffcore.record``. Each
+module function, and the diagonal-Gaussian ELBO pieces under
+``elbo_loss``, computes what a fused node computes through these generic
+ops, one node per op. ``adam_step`` is the textbook update on one array
+per parameter, which the flat, in-place ``Adam`` must equal bitwise.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from evalp.diffcore import Tensor, record
-from evalp.errors import ShapeMismatchError
+from evalp.diffcore.tensor import checked_exp, stable_sigmoid, tslice
+from evalp.errors import NonFiniteError, ShapeMismatchError
+from evalp.gauss import LOG_2PI, LOGVAR_MAX, LOGVAR_MIN
 
 
 def matmul(a, b):
@@ -43,6 +48,21 @@ def transpose(a):
     return record(a.data.T.copy(), (a,), lambda g: (g.T,))
 
 
+def exp(a):
+    val = checked_exp(a.data)
+    return record(val, (a,), lambda g: (g * val,))
+
+
+def clip(a, lo, hi):
+    mask = (a.data >= lo) & (a.data <= hi)
+    return record(np.clip(a.data, lo, hi), (a,), lambda g: (g * mask,))
+
+
+def sigmoid(a):
+    val = stable_sigmoid(a.data)
+    return record(val, (a,), lambda g: (g * val * (1.0 - val),))
+
+
 _ACT = {"tanh": tanh, "relu": relu, "leaky_relu": leaky_relu, "none": lambda t: t}
 
 _DERIV = {
@@ -67,17 +87,17 @@ def _scale_translate(layer, passed):
 
 
 def coupling_forward(layer, x):
-    y = (x + layer.shift) * layer.log_scale.exp()
+    y = (x + layer.shift) * exp(layer.log_scale)
     s, t = _scale_translate(layer, y * layer.mask)
-    out = y * s.exp() + t
+    out = y * exp(s) + t
     logdet = s.sum(axis=-1) + layer.log_scale.sum()
     return out, logdet
 
 
 def coupling_inverse(layer, y):
     s, t = _scale_translate(layer, y * layer.mask)
-    x = (y - t) * (-s).exp()
-    x = x * (-layer.log_scale).exp() - layer.shift
+    x = (y - t) * exp(-s)
+    x = x * exp(-layer.log_scale) - layer.shift
     logdet = -s.sum(axis=-1) - layer.log_scale.sum()
     return x, logdet
 
@@ -112,6 +132,68 @@ def energy_input_grad(f, z):
             v = v * Tensor(masks[i])
         v = matmul(v, transpose(net.weights[i]))
     return v
+
+
+@dataclass
+class DiagGaussian:
+    """Mean / log-variance pair; logvar is clamped to [-10, 10] on use."""
+
+    mu: Tensor
+    logvar: Tensor
+
+    def __post_init__(self):
+        if self.mu.shape != self.logvar.shape:
+            raise ShapeMismatchError(
+                f"mu shape {self.mu.shape} vs logvar shape {self.logvar.shape}"
+            )
+        # Clamp keeps exp() bounded; gradient passes through inside the range.
+        self.logvar = clip(self.logvar, LOGVAR_MIN, LOGVAR_MAX)
+
+    @property
+    def dim(self) -> int:
+        return self.mu.shape[-1]
+
+
+def kl_to_standard(g: DiagGaussian) -> Tensor:
+    """KL(N(mu, diag exp(logvar)) || N(0, I)), per row, clamped at zero."""
+    var = exp(g.logvar)
+    raw = (var + g.mu.square() - 1.0 - g.logvar).sum(axis=-1) * 0.5
+    return clip(raw, 0.0, np.inf)
+
+
+def reparameterize(g: DiagGaussian, eps: Tensor) -> Tensor:
+    """z = mu + exp(logvar / 2) * eps, differentiable in mu and logvar."""
+    if eps.shape[-1] != g.dim:
+        raise ShapeMismatchError(f"reparameterize: eps width {eps.shape[-1]} vs dim {g.dim}")
+    return g.mu + exp(g.logvar * 0.5) * eps
+
+
+def vae_encode(m, x):
+    out = m.encoder(x)
+    return DiagGaussian(tslice(out, 1, 0, m.nz), tslice(out, 1, m.nz, 2 * m.nz))
+
+
+def observation_log_lik(m, params, x):
+    """Per-row log p(x | z): unit-variance Gaussian around the decoded mean,
+    or Bernoulli on decoded logits in the softplus form."""
+    if m.obs_model == "gaussian":
+        sq = (x - params).square().sum(axis=-1)
+        return (sq + m.data_dim * LOG_2PI) * -0.5
+    # x*log(sig(l)) + (1-x)*log(1-sig(l)) = -(1-x)*l - softplus(-l)
+    term = (1.0 - x) * params + (-params).softplus()
+    return -term.sum(axis=-1)
+
+
+def elbo_loss(m, x, kl_weight, eps):
+    """(total, recon, kl) tensors of the negative ELBO, one node per op."""
+    post = vae_encode(m, x)
+    decoded = m.decoder(reparameterize(post, eps))
+    recon = observation_log_lik(m, decoded, x).mean()
+    kl = kl_to_standard(post).mean()
+    total = -(recon - kl * kl_weight)
+    if not np.isfinite(total.data):
+        raise NonFiniteError(f"elbo_loss is not finite (recon={recon.data}, kl={kl.data})")
+    return total, recon, kl
 
 
 def adam_step(params, grads, m, v, t, lr, beta1, beta2, eps):

@@ -132,15 +132,15 @@ def _op_cases(rng):
         ops.mul: ([Tensor(m((3, 2))), Tensor(m((2,)))], {}),
         per_op.matmul: ([Tensor(m((3, 4))), Tensor(m((4, 2)))], {}),
         ops.neg: ([Tensor(m((3, 2)))], {}),
-        ops.exp: ([Tensor(m((3, 2)) * 0.5)], {}),
+        per_op.exp: ([Tensor(m((3, 2)) * 0.5)], {}),
         per_op.tanh: ([Tensor(m((3, 2)))], {}),
         per_op.relu: ([Tensor(m((3, 2)))], {}),
         per_op.leaky_relu: ([Tensor(m((3, 2)))], {"slope": 0.01}),
         ops.softplus: ([Tensor(m((3, 2)))], {}),
-        ops.sigmoid: ([Tensor(m((3, 2)))], {}),
+        per_op.sigmoid: ([Tensor(m((3, 2)))], {}),
         ops.square: ([Tensor(m((3, 2)))], {}),
         ops.sqrt: ([Tensor(np.abs(m((3, 2))) + 0.5)], {}),
-        ops.clip: ([Tensor(m((3, 2)) * 0.3)], {"lo": -1.0, "hi": 1.0}),
+        per_op.clip: ([Tensor(m((3, 2)) * 0.3)], {"lo": -1.0, "hi": 1.0}),
         ops.tsum: ([Tensor(m((3, 2)))], {"axis": 1}),
         ops.tmean: ([Tensor(m((3, 2)))], {"axis": 0}),
         ops.tslice: ([Tensor(m((3, 4)))], {"axis": 1, "start": 1, "stop": 3}),

@@ -1,22 +1,31 @@
-"""Fused module nodes against their per-op routes (``per_op.py``).
+"""Fused nodes against their per-op routes (``per_op.py``).
 
-``Mlp.__call__``, ``FlowSampler.forward`` and ``energy_input_grad`` record
-one tape node with a closed-form pull. Their outputs and every input and
-parameter gradient must equal the per-op route bitwise; each node passes
-``gradcheck``; the off-tape ``FlowSampler.inverse`` equals the per-op
-values bitwise; overflow still raises ``DomainError``; nothing is recorded
-outside the tape; the stage-2 loss tapes stay short; and the flat Adam
-equals the per-parameter update.
+``Mlp.__call__``, ``FlowSampler.forward``, ``energy_input_grad`` and the
+stage-1 ``elbo_loss`` record one tape node with a closed-form pull. Their
+outputs and every input and parameter gradient must equal the per-op
+route bitwise; each node passes ``gradcheck``; the off-tape
+``FlowSampler.inverse`` and ``aggregate_posterior_sample`` equal the
+per-op values bitwise; overflow still raises ``DomainError``; nothing is
+recorded outside the tape; the stage-1 and stage-2 loss tapes stay short;
+and the flat Adam equals the per-parameter update.
 """
 
 import numpy as np
 import pytest
 
 import per_op
+import evalp.stage1 as stage1
 import evalp.stage2 as stage2
 from evalp.diffcore import Adam, Tensor, active_tape, backward, clear_tape, no_grad
-from evalp.errors import DomainError, NonFiniteError
-from evalp.models import EnergyFunction, FlowSampler, Mlp, MlpSpec, energy_input_grad
+from evalp.errors import DomainError, NonFiniteError, ShapeMismatchError
+from evalp.models import (
+    EnergyFunction,
+    FlowSampler,
+    Mlp,
+    MlpSpec,
+    VaeModel,
+    energy_input_grad,
+)
 from evalp.rng import Rng
 from oracles import gradcheck
 from test_models import perturbed_flow
@@ -208,6 +217,150 @@ class TestEnergyInputGradNode:
         probe = rng.normal((5, 3))
         err = gradcheck(lambda *ps: (energy_input_grad(f, z) * probe).sum(), f.parameters())
         assert err < 1e-6
+
+
+def _vae(obs_model, batch, seed, hidden=(16, 12)):
+    """A VAE with random biases, and a batch of inputs and noise for it."""
+    rng = Rng(seed)
+    m = VaeModel(5, 3, hidden=hidden, obs_model=obs_model, rng=rng)
+    for b in m.encoder.biases + m.decoder.biases:
+        b.data = rng.normal(b.data.shape) * 0.5
+    if obs_model == "gaussian":
+        x = rng.normal((batch, 5))
+    else:
+        x = (rng.uniform((batch, 5)) > 0.5).astype(np.float64)
+    return m, x, rng.normal((batch, 3))
+
+
+def _elbo_routes(m, x, kl_weight, eps):
+    """The fused and per-op ELBO routes as ``_compare`` takes them."""
+    fused = lambda: [stage1.elbo_loss(m, Tensor(x), kl_weight, Tensor(eps))[0]]
+    reference = lambda: [per_op.elbo_loss(m, Tensor(x), kl_weight, Tensor(eps))[0]]
+    return fused, reference, m.parameters(), [np.ones(())], [n for n, _ in m.named_parameters()]
+
+
+class TestElboNode:
+    @pytest.mark.parametrize("obs_model", ["gaussian", "bernoulli"])
+    @pytest.mark.parametrize("batch", [1, 7, 100])
+    @pytest.mark.parametrize("kl_weight", [0.0, 1.0, 2.5])
+    def test_matches_per_op_bitwise(self, obs_model, batch, kl_weight):
+        m, x, eps = _vae(obs_model, batch, batch)
+        _compare(*_elbo_routes(m, x, kl_weight, eps))
+        _, recon, kl = stage1.elbo_loss(m, Tensor(x), kl_weight, Tensor(eps))
+        with no_grad():
+            _, want_recon, want_kl = per_op.elbo_loss(m, Tensor(x), kl_weight, Tensor(eps))
+        assert type(recon) is float and type(kl) is float
+        _assert_bitwise(recon, want_recon.data, "recon")
+        _assert_bitwise(kl, want_kl.data, "kl")
+
+    @pytest.mark.parametrize("obs_model", ["gaussian", "bernoulli"])
+    def test_gradcheck(self, obs_model):
+        m, x, eps = _vae(obs_model, 5, 3, hidden=(6,))
+        loss = lambda *ps: stage1.elbo_loss(m, Tensor(x), 1.5, Tensor(eps))[0]
+        assert gradcheck(loss, m.parameters()) < 1e-5
+
+    def test_log_variance_clip_edges(self):
+        # Log-variance pre-activations exactly at -10 and 10 (gradient
+        # passes) and past them (none does), set by the last encoder layer.
+        m, x, eps = _vae("gaussian", 7, 1, hidden=(8,))
+        w, b = m.encoder.weights[-1], m.encoder.biases[-1]
+        w.data[:, 3:5] = 0.0
+        b.data[3:] = [10.0, -10.0, -12.0]
+        w.data[:, 5] *= 0.1
+        raw = m.encoder.forward_arrays(x, False)[0][:, 5]
+        assert raw.max() < -10.0, raw
+        for kl_weight in (0.0, 1.0):
+            _compare(*_elbo_routes(m, x, kl_weight, eps))
+        b.data[5] = 12.0
+        assert m.encoder.forward_arrays(x, False)[0][:, 5].min() > 10.0
+        _compare(*_elbo_routes(m, x, 1.0, eps))
+        for p in m.parameters():
+            p.grad = None
+        backward(stage1.elbo_loss(m, Tensor(x), 1.0, Tensor(eps))[0])
+        assert np.all(b.grad[3:5] != 0.0) and b.grad[5] == 0.0
+        assert np.all(w.grad[:, 5] == 0.0)
+
+    def test_kl_rounding_below_zero_is_clipped(self):
+        # mu = 0 and logvar = 2e-9: exp(lv) - 1 - lv rounds to -2.8e-17.
+        m, x, eps = _vae("gaussian", 7, 2)
+        w, b = m.encoder.weights[-1], m.encoder.biases[-1]
+        w.data[:] = 0.0
+        b.data[:] = [0.0, 0.0, 0.0, 2e-9, 2e-9, 2e-9]
+        enc = m.encoder.forward_arrays(x, False)[0]
+        assert ((np.exp(enc[:, 3:]) - 1.0 - enc[:, 3:]).sum(axis=-1) < 0.0).all()
+        for kl_weight in (0.0, 2.5):
+            _compare(*_elbo_routes(m, x, kl_weight, eps))
+        grads = []
+        for kl_weight in (0.0, 2.5):
+            total, _, kl = stage1.elbo_loss(m, Tensor(x), kl_weight, Tensor(eps))
+            assert kl == 0.0
+            for p in m.parameters():
+                p.grad = None
+            backward(total)
+            grads.append([p.grad.copy() for p in m.parameters()])
+        for a, b in zip(*grads):
+            _assert_bitwise(a, b, "grad with a clipped KL")
+
+    def test_aggregate_posterior_sample_matches_per_op_bitwise(self):
+        m, x, _ = _vae("gaussian", 7, 4)
+        got = stage1.aggregate_posterior_sample(m, x, 50, seed=5)
+        rng = Rng(5)
+        idx = rng.integers(0, x.shape[0], 50)
+        with no_grad():
+            post = per_op.vae_encode(m, Tensor(x[idx]))
+            want = per_op.reparameterize(post, Tensor(rng.normal((50, m.nz))))
+        _assert_bitwise(got, want.data, "aggregate posterior sample")
+
+    def test_one_node_per_training_step(self, monkeypatch):
+        counts = []
+        original = stage1.backward
+
+        def counting(root):
+            counts.append(len(active_tape()))
+            original(root)
+
+        monkeypatch.setattr(stage1, "backward", counting)
+        data = Rng(6).uniform((40, 5)).round()
+        for obs_model in ("gaussian", "bernoulli"):
+            cfg = stage1.Stage1Config(nz=3, epochs=2, batch_size=10, obs_model=obs_model)
+            stage1.train_vae(data, cfg)
+        assert counts == [1] * 16
+
+    def test_no_grad_records_nothing_and_builds_no_cache(self, monkeypatch):
+        keeps = []
+        original = Mlp.forward_arrays
+
+        def spy(self, x, keep):
+            keeps.append(keep)
+            return original(self, x, keep)
+
+        monkeypatch.setattr(Mlp, "forward_arrays", spy)
+        m, x, eps = _vae("bernoulli", 4, 5)
+        clear_tape()
+        with no_grad():
+            total, _, _ = stage1.elbo_loss(m, Tensor(x), 1.0, Tensor(eps))
+        stage1.aggregate_posterior_sample(m, x, 10, seed=0)
+        assert len(active_tape()) == 0 and not total.requires_grad
+        assert keeps == [False] * 3
+        stage1.elbo_loss(m, Tensor(x), 1.0, Tensor(eps))
+        assert keeps[-2:] == [True, True] and len(active_tape()) == 1
+        clear_tape()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_loss_raises_before_recording(self):
+        m, x, eps = _vae("gaussian", 4, 6)
+        m.decoder.biases[-1].data = np.full(5, 1e200)
+        clear_tape()
+        with pytest.raises(NonFiniteError, match="elbo_loss is not finite"):
+            stage1.elbo_loss(m, Tensor(x), 1.0, Tensor(eps))
+        assert len(active_tape()) == 0
+
+    def test_shape_mismatch(self):
+        m, x, eps = _vae("gaussian", 4, 7)
+        with pytest.raises(ShapeMismatchError, match="eps"):
+            stage1.elbo_loss(m, Tensor(x), 1.0, Tensor(eps[:, :2]))
+        with pytest.raises(ShapeMismatchError, match="data_dim"):
+            stage1.elbo_loss(m, Tensor(x[:, :4]), 1.0, Tensor(eps))
 
 
 class TestNothingRecordedOffTape:

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from evalp.diffcore import Tensor, no_grad
 from evalp.errors import ShapeMismatchError
-from evalp.gauss import DiagGaussian, kl_to_standard, reparameterize, standard_normal_logpdf
+from evalp.gauss import standard_normal_logpdf
 from evalp.metrics import GridSpec
 from evalp.rng import Rng
 from oracles import log_pdf, standard_normal
+from per_op import DiagGaussian, kl_to_standard, reparameterize
 
 STD_NORMAL_LOGPDF_AT_0 = -0.9189385332046727  # -ln(2*pi)/2
 

@@ -15,10 +15,10 @@ from evalp.models import (
     MlpSpec,
     VaeModel,
     energy_input_grad,
-    vae_encode,
 )
 from evalp.rng import Rng
 from oracles import gradcheck
+from per_op import reparameterize, vae_encode
 
 GAUSSIAN_ENTROPY_2D = 2.8378770664093453  # (1 + ln 2*pi) per dimension
 
@@ -219,8 +219,6 @@ class TestVae:
         np.testing.assert_allclose(post.logvar.data, np.tile([0.25, -0.25], (4, 1)))
 
     def test_reconstruction_gradcheck(self, rng):
-        from evalp.gauss import reparameterize
-
         m = VaeModel(3, 2, hidden=(8,), rng=rng)
         x = Tensor(rng.normal((5, 3)))
         eps = Tensor(rng.normal((5, 2)))

@@ -1,5 +1,5 @@
 """Sampling tests: the resampler at hand-set cdf boundaries, tilted_base
-SIR against the 2-d quadrature oracle, the NFE counter against the rows
+(the default) SIR against the 2-d quadrature oracle, the NFE counter against the rows
 actually evaluated, evaluation in row blocks against one block, and the
 paper_literal picks against a reference that evaluates Z-hat."""
 
@@ -41,17 +41,25 @@ def test_resample_rows_are_independent():
     np.testing.assert_array_equal(resample(logw, u), [1, 0])
 
 
-def _tilted_base_sir(seed, count):
+def _tilted_base_sir(seed, count, **mode):
     f = linear_region_energy([0.8, -0.5])
     g = perturbed_flow(2, 8, 2, 0)
-    cfg = SirConfig(proposals=200, seed=seed, weight_mode="tilted_base")
+    cfg = SirConfig(proposals=200, seed=seed, **mode)
     return f, sample_sir_batch(f, g, cfg, count)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_tilted_base_sir_mean_matches_quadrature(seed):
-    f, (samples, _) = _tilted_base_sir(seed, 4000)
+    f, (samples, _) = _tilted_base_sir(seed, 4000, weight_mode="tilted_base")
     oracle = quadrature_expectation(f, lambda z: z, default_grid(2, points=401))
+    assert np.linalg.norm(samples.mean(axis=0) - oracle) < 0.1
+
+
+def test_default_sir_targets_the_tilted_prior():
+    # exp(-w.z) N(0, I) is N(-w, I): the quadrature mean is (-0.8, 0.5).
+    f, (samples, _) = _tilted_base_sir(0, 4000)
+    oracle = quadrature_expectation(f, lambda z: z, default_grid(2, points=401))
+    np.testing.assert_allclose(oracle, [-0.8, 0.5], atol=1e-6)
     assert np.linalg.norm(samples.mean(axis=0) - oracle) < 0.1
 
 
@@ -141,6 +149,6 @@ def test_sir_memory_is_bounded_by_the_block():
 @pytest.mark.parametrize("seed", range(3))
 def test_paper_literal_picks_equal_those_with_z_hat_evaluated(seed):
     f, g = _nonlinear_models()
-    cfg = SirConfig(proposals=300, seed=seed)
+    cfg = SirConfig(proposals=300, seed=seed, weight_mode="paper_literal")
     got, _ = sample_sir_batch(f, g, cfg, 60)
     np.testing.assert_allclose(got, _paper_literal_with_z_hat(f, g, cfg, 60), rtol=0, atol=1e-12)
