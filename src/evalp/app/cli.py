@@ -135,7 +135,7 @@ def _export_density_grids(out: Path, vae, f, g, data, seeds):
     with no_grad():
         log_z = quadrature_log_z(f, default_grid(2, points=EXPORT_GRID_POINTS))
         names = {
-            "grid_base_prior.csv": lambda z: standard_normal_logpdf(z).data,
+            "grid_base_prior.csv": standard_normal_logpdf,
             "grid_tilted_prior.csv": lambda z: tilted(z) - log_z,
             "grid_flow_density.csv": g.log_pdf,
             "grid_qagg_kde.csv": qagg_kde,
@@ -225,6 +225,7 @@ def run_sample(cfg: RunConfig, out: Path, vae_path, energy_path, flow_path, mode
         "wall_seconds": wall,
         "seed": sir.seed,
         "proposals": sir.proposals if mode == "sir" else None,
+        "weight_mode": sir.weight_mode if mode == "sir" else None,
     }
     _write_json(out / "sample_report.json", report)
     return report
@@ -263,6 +264,8 @@ def run_eval(cfg: RunConfig, out: Path, vae_path, energy_path, flow_path, n_eval
         "logz_variational": None,
         "logz_quadrature": None,
         "logz_gap": None,
+        "sir_weight_mode": sir.weight_mode,
+        "sir_proposals": sir.proposals,
         "seed": cfg.seed,
         "config_hash": config_hash(asdict(cfg)),
     }

@@ -10,16 +10,16 @@ accumulating gradients additively into every reachable tensor, then frees
 it. One tape per optimization step keeps memory bounded; wrap pure
 evaluation in ``no_grad()`` so it records nothing.
 
-The elementwise, reduction and slice ops below record one node each;
-they are the ones the stage-2 losses and the flow terms reach, through
-the ``Tensor`` operators and methods. Modules (an MLP, a flow's forward
-pass, the energy's input gradient) and the whole stage-1 ELBO instead
-compute on arrays and ``record`` one node for the whole call, whose pull
-is the closed-form reverse pass; any other op is built on ``record`` the
-same way. Such a node caches the intermediates its pull needs only when
-it is recorded; a pass outside the tape (under ``no_grad``, or with no
-input that requires grad) caches no derivatives. ``checked_exp`` and
-``stable_sigmoid`` are the array helpers those passes share.
+The elementwise and reduction ops below record one node each, through
+the ``Tensor`` operators and methods; the NCE loss is built from them.
+Modules (an MLP, a flow pass, the energy's input gradient) compute on
+arrays, and a whole training step (the stage-1 ELBO, a stage-2 critic or
+sampler step) ``record``s one node whose pull is the closed-form reverse
+pass; any other op is built on ``record`` the same way. Such a node caches
+the intermediates its pull needs only when it is recorded; a pass outside
+the tape (under ``no_grad``, or with no input that requires grad) caches no
+derivatives. ``checked_exp`` and ``stable_sigmoid`` are the array helpers
+those passes share.
 """
 
 from __future__ import annotations
@@ -133,9 +133,6 @@ class Tensor:
 
     def square(self):
         return square(self)
-
-    def sqrt(self):
-        return sqrt(self)
 
     def sum(self, axis=None):
         return tsum(self, axis=axis)
@@ -289,20 +286,6 @@ def square(a):
     return _record(out, (a,), lambda g: (g * 2.0 * a.data,))
 
 
-def sqrt(a):
-    a = _as_tensor(a)
-    if np.any(a.data < 0.0):
-        raise DomainError(f"sqrt of negative value (min input {a.data.min()})")
-    val = np.sqrt(a.data)
-    out = Tensor._wrap(val)
-
-    def pull(g):
-        # Clamp the denominator so a gradient at exactly 0 stays finite.
-        return (g / (2.0 * np.maximum(val, 1e-150)),)
-
-    return _record(out, (a,), pull)
-
-
 def tsum(a, axis=None):
     a = _as_tensor(a)
     out = Tensor._wrap(a.data.sum(axis=axis))
@@ -324,24 +307,5 @@ def tmean(a, axis=None):
         if axis is None:
             return (np.broadcast_to(g / count, a.data.shape),)
         return (np.broadcast_to(np.expand_dims(g, axis) / count, a.data.shape),)
-
-    return _record(out, (a,), pull)
-
-
-def tslice(a, axis, start, stop):
-    a = _as_tensor(a)
-    if not (0 <= start <= stop <= a.data.shape[axis]):
-        raise ShapeMismatchError(
-            f"slice [{start}:{stop}] out of range for axis {axis} of shape {a.data.shape}"
-        )
-    sl = [slice(None)] * a.data.ndim
-    sl[axis] = slice(start, stop)
-    sl = tuple(sl)
-    out = Tensor._wrap(a.data[sl].copy())
-
-    def pull(g):
-        full = np.zeros_like(a.data)
-        full[sl] = g
-        return (full,)
 
     return _record(out, (a,), pull)

@@ -170,7 +170,7 @@ def tilted_log_density(f):
     def log_density(z):
         with no_grad():
             fz = f(Tensor(z)).data if model else f(z)
-        return -np.asarray(fz, dtype=np.float64).reshape(len(z)) + standard_normal_logpdf(z).data
+        return -np.asarray(fz, dtype=np.float64).reshape(len(z)) + standard_normal_logpdf(z)
 
     return log_density
 

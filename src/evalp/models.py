@@ -1,18 +1,19 @@
 """Network definitions: MLP blocks, the scalar energy function, the
 affine-coupling flow sampler, and the VAE encoder/decoder.
 
-Conventions: model inputs are (B, d) row batches of tensors; weights are
+Conventions: model inputs are (B, d) row batches; weights are
 stored (in, out) so a layer computes ``x @ W + b``. Flow forward maps
 base noise to latents; inverse maps latents back and is exact.
 
-Each module call is one tape node: ``Mlp.__call__``, ``FlowSampler.forward``
-and ``energy_input_grad`` compute on arrays and record a closed-form pull
-over their input and parameters. They cache the layer inputs and
-activation-derivative factors only when the node is recorded. The VAE
-records no node of its own: ``stage1.elbo_loss`` runs its encoder and
-decoder through ``Mlp.forward_arrays``/``pull_arrays`` inside one node for
-the whole ELBO. The flow's inverse and ``log_pdf`` only evaluate
-densities: they take and return arrays and record nothing.
+Module passes compute on arrays and record nothing themselves.
+``Mlp.forward_arrays``, ``FlowSampler.forward`` and ``energy_input_grad``
+return their rows, plus what a closed-form reverse pass needs when asked:
+``Mlp.pull_arrays``, ``FlowSampler.pull_forward`` and the pull that
+``energy_input_grad`` returns. A step's loss (``stage1.elbo_loss``,
+``stage2.critic_loss``, ``stage2.sampler_loss``) records one tape node over
+the parameters and chains those pulls; ``Mlp.__call__`` is the one module
+call that records a node of its own. The flow's inverse and ``log_pdf``
+only evaluate densities.
 """
 
 from __future__ import annotations
@@ -22,23 +23,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffcore import Tensor, needs_grad, record
-from .diffcore.tensor import checked_exp, tslice
+from .diffcore.tensor import checked_exp
 from .errors import ShapeMismatchError
 from .gauss import standard_normal_logpdf
 from .rng import Rng
 
 LEAKY_SLOPE = 0.01
 
-# Per activation: its value from the pre-activation h, and its derivative
-# factor from h and that value. "none" is the identity and has no factor.
+# Per activation: the activation applied in place to the pre-activation h,
+# and its derivative factor built from the activation value a. "none" is the
+# identity and has no factor.
 _ACTIVATIONS = {
-    "tanh": (np.tanh, lambda h, a: 1.0 - a * a),
-    "relu": (lambda h: np.maximum(h, 0.0), lambda h, a: h > 0.0),
-    # For 0 <= slope <= 1, max(h, slope * h) picks the same branch as h > 0;
-    # the derivative at exactly 0 is the negative-side slope.
+    "tanh": (lambda h: np.tanh(h, out=h), lambda a: 1.0 - a * a),
+    "relu": (lambda h: np.maximum(h, 0.0, out=h), lambda a: a > 0.0),
+    # For 0 <= slope <= 1, max(h, slope * h) picks the same branch as h > 0,
+    # and a > 0 exactly when h > 0; the derivative at exactly 0 is the
+    # negative-side slope. (a > 0) * (1 - slope) + slope is 1 or slope exactly.
     "leaky_relu": (
-        lambda h: np.maximum(h, LEAKY_SLOPE * h),
-        lambda h, a: np.where(h > 0.0, 1.0, LEAKY_SLOPE),
+        lambda h: np.maximum(h, LEAKY_SLOPE * h, out=h),
+        lambda a: (a > 0.0) * (1.0 - LEAKY_SLOPE) + LEAKY_SLOPE,
     ),
     "none": (None, None),
 }
@@ -103,19 +106,22 @@ class Mlp:
     def forward_arrays(self, x: np.ndarray, keep: bool):
         """Array forward pass: returns (out, cache).
 
-        With ``keep`` the cache holds each layer's input and activation
-        derivative factor (None for "none" layers); without it the cache
-        is None and no factor is built.
+        Each layer adds its bias and applies its activation in place on the
+        matmul output. With ``keep`` the cache holds each layer's input and
+        activation derivative factor (None for "none" layers); without it
+        the cache is None and no factor is built.
         """
         inputs, factors = [], []
         for w, b, act in zip(self.weights, self.biases, self.spec.activations):
-            value, factor = _ACTIVATIONS[act]
+            activate, factor = _ACTIVATIONS[act]
             if keep:
                 inputs.append(x)
-            h = x @ w.data + b.data
-            x = h if value is None else value(h)
+            x = x @ w.data
+            x += b.data
+            if activate is not None:
+                activate(x)
             if keep:
-                factors.append(None if factor is None else factor(h, x))
+                factors.append(None if factor is None else factor(x))
         return x, ((inputs, factors) if keep else None)
 
     def pull_arrays(self, cache, g: np.ndarray, params: bool = True, x_grad: bool = True):
@@ -149,13 +155,6 @@ class Mlp:
             out.append((f"{prefix}b{i}", b))
         return out
 
-    def detached(self) -> "Mlp":
-        other = Mlp.__new__(Mlp)
-        other.spec = self.spec
-        other.weights = [Tensor._wrap(w.data) for w in self.weights]
-        other.biases = [Tensor._wrap(b.data) for b in self.biases]
-        return other
-
 
 # ---------------------------------------------------------------------------
 # Energy function
@@ -184,25 +183,19 @@ class EnergyFunction:
     def named_parameters(self):
         return self.mlp.named_parameters("mlp.")
 
-    def detached(self) -> "EnergyFunction":
-        other = EnergyFunction.__new__(EnergyFunction)
-        other.nz = self.nz
-        other.nd = self.nd
-        other.mlp = self.mlp.detached()
-        return other
-
     def arch(self) -> dict:
         return {"nz": self.nz, "nd": self.nd}
 
 
-def energy_input_grad(f: EnergyFunction, z: np.ndarray) -> Tensor:
-    """Analytic input gradient of the energy, as one tape node over the weights.
+def energy_input_grad(f: EnergyFunction, z: np.ndarray):
+    """Analytic input gradient of the energy at the rows ``z``: returns
+    (rows, pull), where ``pull(g)`` maps a gradient of the rows to the
+    weight gradients, in layer order.
 
     The activation-derivative masks come from the energy's forward pass
-    at the current point and are treated as constants, so backward()
-    through the result gives the parameter gradient of penalty terms
-    built on it. For piecewise-linear activations the frozen masks are
-    exact almost everywhere. No gradient flows to ``z`` or the biases.
+    at the current point and are treated as constants; for piecewise-linear
+    activations they are exact almost everywhere. No gradient reaches ``z``
+    or the biases.
     """
     if z.shape[-1] != f.nz:
         raise ShapeMismatchError(f"energy input width {z.shape[-1]} vs nz {f.nz}")
@@ -230,7 +223,7 @@ def energy_input_grad(f: EnergyFunction, z: np.ndarray) -> Tensor:
                     g = g * masks[i]
         return grads
 
-    return record(v, mlp.weights, pull)
+    return v, pull
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +240,8 @@ class CouplingLayer:
     so exp(scale) stays well-conditioned.
 
     The layer works on arrays: ``forward_arrays`` returns (out, logdet,
-    cache) and ``pull_forward`` is its closed-form reverse pass, so
-    ``FlowSampler`` records a whole forward pass as one tape node.
-    ``inverse_arrays`` returns (x, logdet) and is never recorded. The
+    cache) and ``pull_forward`` is its closed-form reverse pass;
+    ``inverse_arrays`` returns (x, logdet). The
     coupling Jacobian is triangular, so logdet is the sum of the scales and
     the log norm scales.
     """
@@ -342,37 +334,28 @@ class FlowSampler:
         self.nh = nh
         self.layers = [CouplingLayer(nz, nh, parity=i, rng=rng) for i in range(n_layers)]
 
-    def forward(self, eps: Tensor):
-        """Map base noise to latents; returns (z, per-row log |det J|).
-
-        The pass is one tape node over (eps, *parameters). Its output packs
-        (z, logdet) into one (B, nz + 1) array; the two returned tensors
-        are slices of it.
-        """
-        if eps.shape[-1] != self.nz:
-            raise ShapeMismatchError(f"flow_forward: width {eps.shape[-1]} vs nz {self.nz}")
-        params = self.parameters()
-        parents = (eps, *params)
-        keep = needs_grad(parents)
-        out, logdet, caches = eps.data, None, []
+    def forward(self, eps, keep: bool = False):
+        """Map base-noise rows to latents; returns the arrays (z, per-row
+        log |det J|), and with ``keep`` also the per-layer caches that
+        ``pull_forward`` reads. Evaluates off the tape."""
+        x = np.asarray(eps, dtype=np.float64)
+        if x.shape[-1] != self.nz:
+            raise ShapeMismatchError(f"flow_forward: width {x.shape[-1]} vs nz {self.nz}")
+        logdet, caches = None, []
         for layer in self.layers:
-            out, ld, cache = layer.forward_arrays(out, keep)
+            x, ld, cache = layer.forward_arrays(x, keep)
             logdet = ld if logdet is None else logdet + ld
             caches.append(cache)
-        if not keep:
-            return Tensor._wrap(out), Tensor._wrap(logdet)
+        return (x, logdet, caches) if keep else (x, logdet)
 
-        def pull(g):
-            g_x, g_logdet = g[:, : self.nz], g[:, self.nz]
-            grads = []
-            for layer, cache in zip(reversed(self.layers), reversed(caches)):
-                g_x, layer_grads = layer.pull_forward(cache, g_x, g_logdet)
-                grads = layer_grads + grads
-            return (g_x, *grads)
-
-        packed = record(np.concatenate([out, logdet[:, None]], axis=1), parents, pull)
-        z = tslice(packed, 1, 0, self.nz)
-        return z, tslice(packed, 1, self.nz, self.nz + 1).sum(axis=-1)
+    def pull_forward(self, caches, g_z, g_logdet):
+        """(eps grad, parameter grads in ``parameters()`` order) of
+        ``forward(eps, keep=True)`` from the gradients of z and logdet."""
+        grads = []
+        for layer, cache in zip(reversed(self.layers), reversed(caches)):
+            g_z, layer_grads = layer.pull_forward(cache, g_z, g_logdet)
+            grads = layer_grads + grads
+        return g_z, grads
 
     def inverse(self, z):
         """Map latent rows back to base noise; returns the arrays (eps,
@@ -389,7 +372,7 @@ class FlowSampler:
     def log_pdf(self, z) -> np.ndarray:
         """log p(z) under the flow-pushforward of N(0, I), per row, as an array."""
         eps, logdet = self.inverse(z)
-        return standard_normal_logpdf(eps).data + logdet
+        return standard_normal_logpdf(eps) + logdet
 
     def initialize_norm_inverse(self, z_batch: np.ndarray):
         """Set each norm layer so the inverse pass whitens this batch."""
@@ -417,17 +400,22 @@ class FlowSampler:
         return {"nz": self.nz, "nh": self.nh, "n_layers": len(self.layers)}
 
 
-def flow_terms(f: EnergyFunction, g: FlowSampler, eps: np.ndarray):
+def flow_terms(f: EnergyFunction, g: FlowSampler, eps: np.ndarray, keep: bool = False):
     """Per-sample quantities of the variational log-normalizer at z = g(eps).
 
-    Returns (z, f(z), log_ratio) with log_ratio = log p_g(z) - log p_0(z)
-    = log N(eps) - logdet - log N(z), the pathwise single-sample
-    KL(p_g || p_0) term. Records on the tape unless called under no_grad.
+    Returns the arrays (z, f(z), log_ratio) with f(z) of shape (B, 1) and
+    log_ratio = log p_g(z) - log p_0(z) = log N(eps) - logdet - log N(z),
+    the pathwise single-sample KL(p_g || p_0) term. With ``keep`` it also
+    returns (flow caches, energy cache) for ``FlowSampler.pull_forward`` and
+    ``Mlp.pull_arrays``. Records nothing.
     """
-    eps = Tensor(eps)
-    z, logdet = g.forward(eps)
-    fz = f(z)
+    if f.nz != g.nz:
+        raise ShapeMismatchError(f"energy input width {g.nz} vs nz {f.nz}")
+    z, logdet, *flow_cache = g.forward(eps, keep)
+    fz, f_cache = f.mlp.forward_arrays(z, keep)
     log_ratio = standard_normal_logpdf(eps) - logdet - standard_normal_logpdf(z)
+    if keep:
+        return z, fz, log_ratio, (flow_cache[0], f_cache)
     return z, fz, log_ratio
 
 

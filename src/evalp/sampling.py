@@ -50,8 +50,7 @@ def sample_fast(g: FlowSampler, m: int, seed):
     if m < 0:
         raise ValueError(f"sample count must be >= 0, got {m}")
     rng = seed if isinstance(seed, Rng) else Rng(seed)
-    with no_grad():
-        z = map_row_blocks(lambda eps: g.forward(Tensor(eps))[0].data, rng.normal((m, g.nz)))
+    z = map_row_blocks(lambda eps: g.forward(eps)[0], rng.normal((m, g.nz)))
     return z, NfeCounter(fp_flow=1, fp_energy=0, bp=0)
 
 
@@ -116,7 +115,7 @@ def sample_sir_batch(f: EnergyFunction, g: FlowSampler, cfg: SirConfig, count: i
 
     def propose(eps):
         z, fz, log_ratio = flow_terms(f, g, eps)
-        return z.data, sir_log_weights(fz.data[:, 0], log_ratio.data, cfg.weight_mode)
+        return z, sir_log_weights(fz[:, 0], log_ratio, cfg.weight_mode)
 
     m = cfg.proposals
     return sir_sample(propose, g.nz, m, count, cfg.seed), NfeCounter(fp_flow=m, fp_energy=m, bp=0)

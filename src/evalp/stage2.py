@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffcore import Adam, Tensor, backward, no_grad
+from .diffcore import Adam, Tensor, backward, needs_grad, record
 from .errors import DomainError, NonFiniteError, ShapeMismatchError, TrainingDivergedError
 from .models import EnergyFunction, FlowSampler, default_sizes, energy_input_grad, flow_terms
 from .rng import Rng
@@ -79,65 +79,95 @@ class PriorTrainHistory:
 
 
 def sampler_loss(f: EnergyFunction, g: FlowSampler, n: int, seed) -> tuple[Tensor, float, float]:
-    """Monte-Carlo sampler objective E_g[f] + KL(p_g || p_0).
+    """Monte-Carlo sampler objective E_g[f] + KL(p_g || p_0), as one tape
+    node over the flow parameters.
 
-    Differentiable w.r.t. the flow parameters only; the energy is treated
-    as a constant. Minimizing it tightens the upper bound; its negation
-    at the optimum is the variational log-normalizer. Returns
-    (loss, E_g[f], KL) with the two terms as floats.
+    The energy is treated as a constant. Minimizing the loss tightens the
+    upper bound; its negation at the optimum is the variational
+    log-normalizer. Returns (loss, E_g[f], KL) with the two terms as
+    floats. The pull runs back through the energy's input pull and the
+    flow's ``pull_forward``.
     """
     if n <= 0:
         raise ValueError(f"batch size must be positive, got {n}")
     rng = seed if isinstance(seed, Rng) else Rng(seed)
-    _, fz, log_ratio = flow_terms(f.detached(), g, rng.normal((n, g.nz)))
+    params = g.parameters()
+    keep = needs_grad(params)
+    z, fz, log_ratio, *caches = flow_terms(f, g, rng.normal((n, g.nz)), keep)
     e_g_f, kl = fz.mean(), log_ratio.mean()
     loss = e_g_f + kl
-    if not np.isfinite(loss.data):
-        raise NonFiniteError(f"sampler_loss is not finite ({loss.data})")
-    return loss, e_g_f.item(), kl.item()
+    if not np.isfinite(loss):
+        raise NonFiniteError(f"sampler_loss is not finite ({loss})")
 
+    def pull(grad):
+        flow_cache, f_cache = caches[0]
+        g_row = grad / n
+        # The log-ratio's -log N(z) = (|z|^2 + d log 2 pi) / 2 pulls g_row * z.
+        g_z = g_row * z
+        g_fz, _, _ = f.mlp.pull_arrays(f_cache, np.full((n, 1), g_row), params=False)
+        _, grads = g.pull_forward(flow_cache, g_z + g_fz, np.full(n, -g_row))
+        return grads
 
-def gradient_penalty(f: EnergyFunction, z_q: np.ndarray, z_g: np.ndarray, seed) -> Tensor:
-    """Mean squared deviation of the energy's input-gradient norm from 1,
-    at uniform interpolates between paired points of the two batches."""
-    rng = seed if isinstance(seed, Rng) else Rng(seed)
-    if z_q.shape != z_g.shape:
-        raise ShapeMismatchError(f"gradient_penalty: {z_q.shape} vs {z_g.shape}")
-    u = rng.uniform((z_q.shape[0], 1))
-    z_hat = u * z_q + (1.0 - u) * z_g
-    grad = energy_input_grad(f, z_hat)
-    norm = grad.square().sum(axis=-1).sqrt()
-    return (norm - 1.0).square().mean()
+    return record(np.asarray(loss), params, pull), float(e_g_f), float(kl)
 
 
 def critic_loss(
     f: EnergyFunction, g: FlowSampler, z_q: np.ndarray, lambda_gp: float, seed
 ) -> tuple[Tensor, float, float]:
-    """E_q[f] - E_g[f] + lambda * gradient penalty.
+    """E_q[f] - E_g[f] + lambda * gradient penalty, as one tape node over
+    the energy's weights and biases.
 
-    Minimizing over the energy parameters maximizes the penalized lower
-    bound; the flow batch is detached so no gradient reaches the sampler.
-    Returns (loss, E_q[f], penalty) with the two terms as floats.
+    The penalty is the mean squared deviation of the energy's input-gradient
+    norm from 1, at uniform interpolates between paired rows of the two
+    batches. Minimizing over the energy parameters maximizes the penalized
+    lower bound; the flow batch is a constant, so no gradient reaches the
+    sampler. Returns (loss, E_q[f], penalty) with the two terms as floats.
+    The pull runs back through both energy passes and through
+    ``energy_input_grad``'s masked products.
     """
     rng = seed if isinstance(seed, Rng) else Rng(seed)
-    with no_grad():
-        z_g, _ = g.forward(Tensor(rng.normal((z_q.shape[0], g.nz))))
-    z_g = z_g.data
-    e_q_f = f(Tensor(z_q)).mean()
-    gap = e_q_f - f(Tensor(z_g)).mean()
-    gp = gradient_penalty(f, z_q, z_g, rng)
+    z_g, _ = g.forward(rng.normal((z_q.shape[0], g.nz)))
+    z_q = np.asarray(z_q, dtype=np.float64)
+    if not np.all(np.isfinite(z_q)):
+        raise DomainError("critic_loss: z_q must be finite")
+    if z_q.shape[-1] != f.nz or z_q.shape != z_g.shape:
+        raise ShapeMismatchError(f"critic_loss: z_q {z_q.shape}, flow rows {z_g.shape}, nz {f.nz}")
+    mlp = f.mlp
+    params = (*mlp.weights, *mlp.biases)
+    keep = needs_grad(params)
+    out_q, cache_q = mlp.forward_arrays(z_q, keep)
+    out_g, cache_g = mlp.forward_arrays(z_g, keep)
+    e_q_f = out_q.mean()
+    gap = e_q_f - out_g.mean()
+    u = rng.uniform((z_q.shape[0], 1))
+    grad_rows, grad_pull = energy_input_grad(f, u * z_q + (1.0 - u) * z_g)
+    norm = np.sqrt((grad_rows * grad_rows).sum(axis=-1))
+    dev = norm - 1.0
+    gp = (dev * dev).mean()
     loss = gap + gp * lambda_gp
-    if not np.isfinite(loss.data):
-        raise NonFiniteError(f"critic_loss is not finite ({loss.data})")
-    return loss, e_q_f.item(), gp.item()
+    if not np.isfinite(loss):
+        raise NonFiniteError(f"critic_loss is not finite ({loss})")
+
+    def pull(grad):
+        rows = z_q.shape[0]
+        # d gp / d norm = 2 dev / rows; d norm / d grad_rows = grad_rows / norm.
+        g_norm = grad * lambda_gp / rows * 2.0 * dev
+        # Clamp the denominator so a zero input gradient keeps a finite pull.
+        g_sq = g_norm / (2.0 * np.maximum(norm, 1e-150))
+        gw = grad_pull(g_sq[:, None] * 2.0 * grad_rows)
+        _, gw_g, gb_g = mlp.pull_arrays(cache_g, np.full((rows, 1), -grad / rows), x_grad=False)
+        _, gw_q, gb_q = mlp.pull_arrays(cache_q, np.full((rows, 1), grad / rows), x_grad=False)
+        gw = [a + b + c for a, b, c in zip(gw, gw_g, gw_q)]
+        return (*gw, *[b + c for b, c in zip(gb_g, gb_q)])
+
+    return record(np.asarray(loss), params, pull), float(e_q_f), float(gp)
 
 
 def log_z_variational_samples(f: EnergyFunction, g: FlowSampler, n: int, seed) -> np.ndarray:
     """Per-sample terms of the variational log-normalizer estimate."""
     rng = seed if isinstance(seed, Rng) else Rng(seed)
-    with no_grad():
-        _, fz, log_ratio = flow_terms(f, g, rng.normal((n, g.nz)))
-    return -fz.data[:, 0] - log_ratio.data
+    _, fz, log_ratio = flow_terms(f, g, rng.normal((n, g.nz)))
+    return -fz[:, 0] - log_ratio
 
 
 def log_z_variational_estimate(f: EnergyFunction, g: FlowSampler, n: int, seed) -> float:

@@ -1,22 +1,25 @@
 """Per-op reference routes of the fused nodes, the tape ops only tests
 use, and the per-parameter Adam update; the package does not use them.
 
-``matmul``, ``transpose``, ``exp``, ``clip``, ``sigmoid`` and the
-activations record one node each through ``evalp.diffcore.record``. Each
-module function, and the diagonal-Gaussian ELBO pieces under
-``elbo_loss``, computes what a fused node computes through these generic
-ops, one node per op. ``adam_step`` is the textbook update on one array
+``matmul``, ``transpose``, ``exp``, ``clip``, ``sigmoid``, ``sqrt``,
+``tslice`` and the activations record one node each through
+``evalp.diffcore.record``. Each module function, the diagonal-Gaussian
+ELBO pieces under ``elbo_loss``, and the stage-2 ``critic_loss`` (with its
+``gradient_penalty``) and ``sampler_loss``, computes what a fused node or
+step computes through these generic ops, one node per op. ``adam_step`` is the textbook update on one array
 per parameter, which the flat, in-place ``Adam`` must equal bitwise.
 """
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from evalp.diffcore import Tensor, record
-from evalp.diffcore.tensor import checked_exp, stable_sigmoid, tslice
-from evalp.errors import NonFiniteError, ShapeMismatchError
+from evalp.diffcore import Tensor, no_grad, record
+from evalp.diffcore.tensor import checked_exp, stable_sigmoid
+from evalp.errors import DomainError, NonFiniteError, ShapeMismatchError
 from evalp.gauss import LOG_2PI, LOGVAR_MAX, LOGVAR_MIN
+from evalp.rng import Rng
 
 
 def matmul(a, b):
@@ -61,6 +64,31 @@ def clip(a, lo, hi):
 def sigmoid(a):
     val = stable_sigmoid(a.data)
     return record(val, (a,), lambda g: (g * val * (1.0 - val),))
+
+
+def sqrt(a):
+    if np.any(a.data < 0.0):
+        raise DomainError(f"sqrt of negative value (min input {a.data.min()})")
+    val = np.sqrt(a.data)
+    # Clamp the denominator so a gradient at exactly 0 stays finite.
+    return record(val, (a,), lambda g: (g / (2.0 * np.maximum(val, 1e-150)),))
+
+
+def tslice(a, axis, start, stop):
+    if not (0 <= start <= stop <= a.data.shape[axis]):
+        raise ShapeMismatchError(
+            f"slice [{start}:{stop}] out of range for axis {axis} of shape {a.data.shape}"
+        )
+    sl = [slice(None)] * a.data.ndim
+    sl[axis] = slice(start, stop)
+    sl = tuple(sl)
+
+    def pull(g):
+        full = np.zeros_like(a.data)
+        full[sl] = g
+        return (full,)
+
+    return record(a.data[sl].copy(), (a,), pull)
 
 
 _ACT = {"tanh": tanh, "relu": relu, "leaky_relu": leaky_relu, "none": lambda t: t}
@@ -132,6 +160,58 @@ def energy_input_grad(f, z):
             v = v * Tensor(masks[i])
         v = matmul(v, transpose(net.weights[i]))
     return v
+
+
+def standard_normal_logpdf(z):
+    """log N(z; 0, I) per row, as tensor ops."""
+    return (z.square().sum(axis=-1) + z.shape[-1] * LOG_2PI) * -0.5
+
+
+def _constant(net):
+    """The network ``net`` with its weights and biases as constants."""
+    return SimpleNamespace(
+        spec=net.spec,
+        weights=[Tensor(w.data) for w in net.weights],
+        biases=[Tensor(b.data) for b in net.biases],
+    )
+
+
+def sampler_loss(f, g, n, seed):
+    """(loss, E_g[f], KL) of the sampler step, one node per op; the energy
+    is a constant."""
+    rng = seed if isinstance(seed, Rng) else Rng(seed)
+    eps = Tensor(rng.normal((n, g.nz)))
+    z, logdet = flow_forward(g, eps)
+    fz = mlp(_constant(f.mlp), z)
+    log_ratio = standard_normal_logpdf(eps) - logdet - standard_normal_logpdf(z)
+    e_g_f, kl = fz.mean(), log_ratio.mean()
+    return e_g_f + kl, e_g_f.item(), kl.item()
+
+
+def gradient_penalty(f, z_q, z_g, seed):
+    """Mean squared deviation of the energy's input-gradient norm from 1,
+    at uniform interpolates between paired points of the two batches."""
+    rng = seed if isinstance(seed, Rng) else Rng(seed)
+    if z_q.shape != z_g.shape:
+        raise ShapeMismatchError(f"gradient_penalty: {z_q.shape} vs {z_g.shape}")
+    u = rng.uniform((z_q.shape[0], 1))
+    z_hat = u * z_q + (1.0 - u) * z_g
+    grad = energy_input_grad(f, z_hat)
+    norm = sqrt(grad.square().sum(axis=-1))
+    return (norm - 1.0).square().mean()
+
+
+def critic_loss(f, g, z_q, lambda_gp, seed):
+    """(loss, E_q[f], penalty) of the critic step, one node per op; the
+    flow batch is a constant."""
+    rng = seed if isinstance(seed, Rng) else Rng(seed)
+    with no_grad():
+        z_g, _ = flow_forward(g, Tensor(rng.normal((z_q.shape[0], g.nz))))
+    z_g = z_g.data
+    e_q_f = mlp(f.mlp, Tensor(z_q)).mean()
+    gap = e_q_f - mlp(f.mlp, Tensor(z_g)).mean()
+    gp = gradient_penalty(f, z_q, z_g, rng)
+    return gap + gp * lambda_gp, e_q_f.item(), gp.item()
 
 
 @dataclass

@@ -1,12 +1,17 @@
 """CLI tests: one end-to-end pass through every command on a tiny config,
-with every file read back, empty samples, the ``--seed`` flag against the
-config file's seed, the exit code of each failure kind, the sweep's worker
-count, and the sweep's NCE SIR against the closed-form linear tilt and in
-row blocks against one block."""
+with every file read back, the SIR weight mode named in each report,
+byte-identical outputs from two processes, empty samples, the ``--seed``
+flag against the config file's seed, the exit code of each failure kind,
+the sweep's worker count, and the sweep's NCE SIR against the closed-form
+linear tilt and in row blocks against one block."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,6 +154,51 @@ def trained(tmp_path_factory):
 def test_argument_range_errors_exit_2(tmp_path, trained, argv):
     cfg, models = trained
     assert _run(cfg, tmp_path, *argv[:1], *models, *argv[1:]) == 2
+
+
+@pytest.mark.parametrize("sir", [{"weight_mode": "paper_literal"}, {}], ids=["paper_literal", "default"])
+def test_sample_and_eval_reports_name_the_sir_weight_mode(tmp_path, trained, sir):
+    _, models = trained
+    cfg = _config(tmp_path, sir={"proposals": 30, **sir})
+    mode = sir.get("weight_mode", "tilted_base")
+    for kind in ("fast", "sir"):
+        assert _run(cfg, tmp_path / kind, "sample", *models, "--mode", kind, "--count", "5") == 0
+    assert _run(cfg, tmp_path / "eval", "eval", *models, "--eval-samples", "50") == 0
+    fast = json.loads((tmp_path / "fast" / "sample_report.json").read_text())
+    sir_report = json.loads((tmp_path / "sir" / "sample_report.json").read_text())
+    report = json.loads((tmp_path / "eval" / "eval_report.json").read_text())
+    assert fast["weight_mode"] is None and fast["proposals"] is None
+    assert (sir_report["weight_mode"], sir_report["proposals"]) == (mode, 30)
+    assert (report["sir_weight_mode"], report["sir_proposals"]) == (mode, 30)
+
+
+_PIPELINE = """
+import sys
+from evalp.app.cli import main
+cfg, out = sys.argv[1:]
+models = [f"--{k}={out}/{k}.ckpt" for k in ("vae", "energy", "flow")]
+for argv in (
+    ["train-vae"],
+    ["train-prior", models[0]],
+    ["sample", *models, "--mode", "sir", "--count", "40"],
+):
+    if main([argv[0], "--config", cfg, "--out", out, *argv[1:]]) != 0:
+        sys.exit(1)
+"""
+
+
+def test_two_processes_write_byte_identical_outputs(tmp_path):
+    cfg = _config(tmp_path)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        subprocess.run([sys.executable, "-c", _PIPELINE, cfg, str(out)], env=env, check=True)
+    names = sorted(p.name for p in outs[0].iterdir() if p.suffix in (".csv", ".ckpt"))
+    assert {"vae.ckpt", "energy.ckpt", "flow.ckpt", "latents.csv", "stage2_history.csv"} <= set(names)
+    assert names == sorted(p.name for p in outs[1].iterdir() if p.suffix in (".csv", ".ckpt"))
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("mode", ["fast", "sir"])

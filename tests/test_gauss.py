@@ -52,7 +52,7 @@ class TestLogPdf:
     def test_standard_normal_logpdf_agrees(self, rng):
         z = rng.normal((10, 3))
         a = log_pdf(standard_normal(3), Tensor(z)).data
-        b = standard_normal_logpdf(Tensor(z)).data
+        b = standard_normal_logpdf(z)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 

@@ -1,10 +1,12 @@
-"""Model tests: energy MLP, analytic input gradients, flow exactness,
-and VAE encode/decode."""
+"""Model tests: energy MLP, the memory of an MLP pass, analytic input
+gradients, flow exactness, and VAE encode/decode."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from evalp.diffcore import Tensor, backward, no_grad
+from evalp.diffcore import Tensor, backward, no_grad, record
 from evalp.errors import ShapeMismatchError
 from evalp.gauss import standard_normal_logpdf
 from evalp.metrics import GridSpec
@@ -18,7 +20,7 @@ from evalp.models import (
 )
 from evalp.rng import Rng
 from oracles import gradcheck
-from per_op import reparameterize, vae_encode
+from per_op import reparameterize, sqrt, tslice, vae_encode
 
 GAUSSIAN_ENTROPY_2D = 2.8378770664093453  # (1 + ln 2*pi) per dimension
 
@@ -29,6 +31,26 @@ def perturbed_flow(nz, nh, n_layers, seed, scale=0.3):
     for p in g.parameters():
         p.data = p.data + rng.normal(p.data.shape) * scale
     return g
+
+
+def energy_input_grad_node(f, z):
+    """``energy_input_grad`` as one tape node over the energy's weights."""
+    rows, pull = energy_input_grad(f, z)
+    return record(rows, f.mlp.weights, pull)
+
+
+def flow_node(g, eps):
+    """``FlowSampler.forward`` and ``pull_forward`` as one tape node over
+    (eps, *parameters) whose output packs (z, logdet); returns the z and
+    logdet tensors, sliced out of it."""
+    z, logdet, caches = g.forward(eps.data, keep=True)
+
+    def pull(grad):
+        g_eps, grads = g.pull_forward(caches, grad[:, : g.nz], grad[:, g.nz])
+        return (g_eps, *grads)
+
+    packed = record(np.column_stack([z, logdet]), (eps, *g.parameters()), pull)
+    return tslice(packed, 1, 0, g.nz), tslice(packed, 1, g.nz, g.nz + 1).sum(axis=-1)
 
 
 def linear_region_energy(w, bias=20.0):
@@ -70,17 +92,39 @@ class TestEnergy:
         assert err < 1e-5
 
 
+class TestMlpPassMemory:
+    # One 1024 x 64 float64 array.
+    HIDDEN_BYTES = 1024 * 64 * 8
+
+    @pytest.mark.parametrize("act", ["relu", "tanh", "leaky_relu"])
+    def test_no_grad_pass_peaks_at_two_hidden_arrays(self, act):
+        # Each layer adds its bias and applies its activation in place on
+        # the matmul output, so a pass holds a layer's input and output and
+        # no more; leaky relu's slope * h temporary lives while the input is
+        # already released.
+        net = Mlp(MlpSpec((2, 64, 64, 2), (act, act, "none")), Rng(0))
+        x = Rng(1).normal((1024, 2))
+        net.forward_arrays(x, keep=False)
+        tracemalloc.start()
+        try:
+            net.forward_arrays(x, keep=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * self.HIDDEN_BYTES + 64 * 1024, peak / 1024
+
+
 class TestEnergyInputGrad:
     def test_linear_region_gives_constant_w(self, rng):
         w = np.array([0.6, -0.8])
         f = linear_region_energy(w)
-        grad = energy_input_grad(f, rng.normal((10, 2))).data
+        grad, _ = energy_input_grad(f, rng.normal((10, 2)))
         np.testing.assert_allclose(grad, np.tile(w, (10, 1)), atol=1e-12)
 
     def test_matches_central_differences(self, rng):
         f = EnergyFunction(2, 16, rng)
         z = rng.normal((5, 2))
-        analytic = energy_input_grad(f, z).data
+        analytic, _ = energy_input_grad(f, z)
         h = 1e-5
         with no_grad():
             for i in range(5):
@@ -95,21 +139,21 @@ class TestEnergyInputGrad:
     def test_zero_hidden_weights_zero_gradient(self, rng):
         f = EnergyFunction(2, 8)
         f.mlp.biases[-1].data = np.array([3.0])
-        grad = energy_input_grad(f, rng.normal((4, 2))).data
+        grad, _ = energy_input_grad(f, rng.normal((4, 2)))
         np.testing.assert_array_equal(grad, 0.0)
 
     def test_agrees_with_autodiff_route_at_100_points(self, rng):
         f = EnergyFunction(2, 32, rng)
         z = Tensor(rng.normal((100, 2)), requires_grad=True)
         backward(f(z).sum())
-        analytic = energy_input_grad(f, z.data).data
+        analytic, _ = energy_input_grad(f, z.data)
         assert np.abs(analytic - z.grad).max() < 1e-10
 
     def test_differentiable_in_weights(self, rng):
         f = EnergyFunction(2, 8, rng)
         z = rng.normal((4, 2))
         err = gradcheck(
-            lambda *ps: energy_input_grad(f, z).square().sum(axis=-1).sqrt().mean(),
+            lambda *ps: sqrt(energy_input_grad_node(f, z).square().sum(axis=-1)).mean(),
             f.parameters(),
         )
         assert err < 1e-4
@@ -119,9 +163,9 @@ class TestFlow:
     def test_identity_initialization(self, rng):
         g = FlowSampler(2, 16, 4)
         eps = rng.normal((6, 2))
-        z, logdet = g.forward(Tensor(eps))
-        np.testing.assert_array_equal(z.data, eps)
-        np.testing.assert_array_equal(logdet.data, 0.0)
+        z, logdet = g.forward(eps)
+        np.testing.assert_array_equal(z, eps)
+        np.testing.assert_array_equal(logdet, 0.0)
         x, logdet_i = g.inverse(eps)
         np.testing.assert_array_equal(x, eps)
         np.testing.assert_array_equal(logdet_i, 0.0)
@@ -130,10 +174,10 @@ class TestFlow:
     def test_roundtrip_and_antisymmetry(self, nz):
         g = perturbed_flow(nz, 32, 3, seed=nz)
         eps = Rng(100 + nz).normal((20, nz))
-        z, ld_f = g.forward(Tensor(eps))
-        back, ld_i = g.inverse(z.data)
+        z, ld_f = g.forward(eps)
+        back, ld_i = g.inverse(z)
         assert np.abs(back - eps).max() < 1e-8
-        assert np.abs(ld_f.data + ld_i).max() < 1e-8
+        assert np.abs(ld_f + ld_i).max() < 1e-8
 
     def test_logdet_matches_numerical_jacobian_2d(self):
         g = perturbed_flow(2, 16, 3, seed=5)
@@ -141,24 +185,23 @@ class TestFlow:
         h = 1e-6
         for _ in range(10):
             e0 = rng.normal((1, 2))
-            _, ld = g.forward(Tensor(e0))
+            _, ld = g.forward(e0)
             jac = np.zeros((2, 2))
-            with no_grad():
-                for j in range(2):
-                    ep, em = e0.copy(), e0.copy()
-                    ep[0, j] += h
-                    em[0, j] -= h
-                    zp, _ = g.forward(Tensor(ep))
-                    zm, _ = g.forward(Tensor(em))
-                    jac[:, j] = (zp.data[0] - zm.data[0]) / (2 * h)
+            for j in range(2):
+                ep, em = e0.copy(), e0.copy()
+                ep[0, j] += h
+                em[0, j] -= h
+                zp, _ = g.forward(ep)
+                zm, _ = g.forward(em)
+                jac[:, j] = (zp[0] - zm[0]) / (2 * h)
             _, numeric = np.linalg.slogdet(jac)
-            assert abs(ld.data[0] - numeric) < 1e-5
+            assert abs(ld[0] - numeric) < 1e-5
 
     def test_log_pdf_identity_flow_is_standard_normal(self, rng):
         g = FlowSampler(2, 16, 3)
         z = rng.normal((8, 2))
         np.testing.assert_allclose(
-            g.log_pdf(z), standard_normal_logpdf(Tensor(z)).data, atol=1e-12
+            g.log_pdf(z), standard_normal_logpdf(z), atol=1e-12
         )
 
     def test_log_pdf_normalized_by_quadrature(self):
@@ -172,15 +215,14 @@ class TestFlow:
         g = FlowSampler(2, 16, 3)
         n = 50_000
         eps = rng.normal((n, 2))
-        with no_grad():
-            z, _ = g.forward(Tensor(eps))
-            vals = -g.log_pdf(z.data)
+        z, _ = g.forward(eps)
+        vals = -g.log_pdf(z)
         se = vals.std() / np.sqrt(n)
         assert abs(vals.mean() - GAUSSIAN_ENTROPY_2D) < 3 * se
 
     def test_width_mismatch(self, rng):
         with pytest.raises(ShapeMismatchError):
-            FlowSampler(3, 8, 2).forward(Tensor(rng.normal((4, 2))))
+            FlowSampler(3, 8, 2).forward(rng.normal((4, 2)))
 
     def test_norm_init_inverse_whitens_batch(self, rng):
         g = FlowSampler(2, 16, 3)
@@ -196,7 +238,7 @@ class TestFlow:
         probe = rng.normal((4, 2))
 
         def head(*ps):
-            z, logdet = g.forward(eps)
+            z, logdet = flow_node(g, eps)
             return (z * probe).sum() + logdet.mean()
 
         assert gradcheck(head, g.parameters()) < 1e-5

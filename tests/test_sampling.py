@@ -12,7 +12,7 @@ from scipy.special import logsumexp
 from evalp import metrics
 from evalp.diffcore import Tensor, no_grad
 from evalp.metrics import default_grid
-from evalp.models import EnergyFunction, FlowSampler, default_sizes, flow_terms
+from evalp.models import EnergyFunction, FlowSampler, Mlp, default_sizes, flow_terms
 from evalp.rng import Rng
 from evalp.sampling import SirConfig, resample, sample_fast, sample_sir_batch
 from oracles import quadrature_expectation
@@ -68,18 +68,20 @@ def test_nfe_counter_reads_m_per_sample(mode, monkeypatch):
     f = linear_region_energy([0.8, -0.5])
     g = perturbed_flow(2, 8, 2, 0)
     rows = {"flow": [], "energy": []}
-    forward, energy = FlowSampler.forward, EnergyFunction.__call__
+    forward, mlp_forward = FlowSampler.forward, Mlp.forward_arrays
 
-    def counted_forward(self, eps):
-        rows["flow"].append(len(eps.data))
-        return forward(self, eps)
+    def counted_forward(self, eps, keep=False):
+        rows["flow"].append(len(eps))
+        return forward(self, eps, keep)
 
-    def counted_energy(self, z):
-        rows["energy"].append(len(z.data))
-        return energy(self, z)
+    def counted_mlp(self, x, keep):
+        # The energy's rows; the flow's coupling nets run through Mlp too.
+        if self is f.mlp:
+            rows["energy"].append(len(x))
+        return mlp_forward(self, x, keep)
 
     monkeypatch.setattr(FlowSampler, "forward", counted_forward)
-    monkeypatch.setattr(EnergyFunction, "__call__", counted_energy)
+    monkeypatch.setattr(Mlp, "forward_arrays", counted_mlp)
     cfg = SirConfig(proposals=200, seed=0, weight_mode=mode)
     samples, counter = sample_sir_batch(f, g, cfg, 15)
     assert samples.shape == (15, 2)
@@ -95,13 +97,13 @@ def _paper_literal_with_z_hat(f, g, cfg, count, n=200):
     log Z-hat from the weights."""
     rng = Rng(cfg.seed)
     m = cfg.proposals
+    z, fz, _ = flow_terms(f, g, rng.normal((count * m, g.nz)))
+    extra, _ = g.forward(Rng(cfg.seed + 1000).normal((count * n, g.nz)))
     with no_grad():
-        z, fz, _ = flow_terms(f, g, rng.normal((count * m, g.nz)))
-        extra, _ = g.forward(Tensor(Rng(cfg.seed + 1000).normal((count * n, g.nz))))
-        f_extra = f(extra).data[:, 0].reshape(count, n)
+        f_extra = f(Tensor(extra)).data[:, 0].reshape(count, n)
     log_z_hat = logsumexp(-f_extra, axis=1, keepdims=True) - np.log(n)
-    picks = resample(-fz.data[:, 0].reshape(count, m) - log_z_hat, rng.uniform((count, 1)))
-    return z.data.reshape(count, m, g.nz)[np.arange(count), picks]
+    picks = resample(-fz[:, 0].reshape(count, m) - log_z_hat, rng.uniform((count, 1)))
+    return z.reshape(count, m, g.nz)[np.arange(count), picks]
 
 
 def _nonlinear_models():

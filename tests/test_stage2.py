@@ -9,12 +9,11 @@ from evalp.diffcore import Tensor, backward, clear_tape, no_grad
 from evalp.errors import ShapeMismatchError, TrainingDivergedError
 from evalp.gauss import LOG_2PI, standard_normal_logpdf
 from evalp.metrics import default_grid, quadrature_log_z
-from evalp.models import EnergyFunction, FlowSampler, VaeModel
+from evalp.models import EnergyFunction, FlowSampler, Mlp, MlpSpec, VaeModel
 from evalp.rng import Rng
 from evalp.stage2 import (
     Stage2Config,
     critic_loss,
-    gradient_penalty,
     log_z_variational_estimate,
     log_z_variational_samples,
     nce_loss,
@@ -24,7 +23,7 @@ from evalp.stage2 import (
     train_tilted_prior,
 )
 from oracles import gradcheck, quadrature_expectation
-from per_op import matmul
+from per_op import gradient_penalty
 from tests.test_models import linear_region_energy, perturbed_flow
 
 
@@ -182,17 +181,14 @@ class TestMlGradientIdentity:
 
 
 class LinearTiltEnergy:
-    """Fixed energy -a.z; tilted density is exactly N(a, I)."""
+    """Fixed energy -a.z, a one-layer linear ``Mlp`` with weight -a; the
+    tilted density is exactly N(a, I)."""
 
     def __init__(self, a):
         self.a = np.asarray(a, dtype=np.float64)
         self.nz = len(self.a)
-
-    def __call__(self, z):
-        return matmul(z, Tensor(-self.a.reshape(-1, 1)))
-
-    def detached(self):
-        return self
+        self.mlp = Mlp(MlpSpec((self.nz, 1), ("none",)))
+        self.mlp.weights[0].data = -self.a.reshape(-1, 1)
 
 
 def train_flow_on_fixed_energy(f, nz, steps=1200, batch=256, lr=5e-3, seed=0):
@@ -218,9 +214,8 @@ class TestLinearTiltConvergence:
         n = 8192
         final_loss = log_z_variational_samples(f, g, n, seed=2)
         assert -final_loss.mean() == pytest.approx(-0.5, abs=0.05)
-        with no_grad():
-            z, _ = g.forward(Tensor(Rng(3).normal((n, 2))))
-        assert np.abs(z.data.mean(axis=0) - a).max() < 0.05
+        z, _ = g.forward(Rng(3).normal((n, 2)))
+        assert np.abs(z.mean(axis=0) - a).max() < 0.05
 
 
 class TestTrainTiltedPrior:
@@ -336,7 +331,7 @@ class TestLatentFlowBaseline:
         g = FlowSampler(2, 16, 3)
         z = rng.normal((256, 2)) * 1.3 + 0.2
         nll = -g.log_pdf(z).mean()
-        expected = -standard_normal_logpdf(Tensor(z)).data.mean()
+        expected = -standard_normal_logpdf(z).mean()
         assert nll == pytest.approx(expected, abs=1e-12)
 
 
