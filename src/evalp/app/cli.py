@@ -18,7 +18,6 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from ..data import make_dataset
-from ..diffcore import Tensor, no_grad
 from ..errors import (
     CheckpointError,
     ConfigError,
@@ -132,21 +131,20 @@ def _export_density_grids(out: Path, vae, f, g, data, seeds):
     grid = GridSpec((-4.0, -4.0), (4.0, 4.0), EXPORT_GRID_POINTS)
     qagg_kde = qagg_log_kde(aggregate_posterior_sample(vae, data, 2000, seeds["sir"]))
     tilted = tilted_log_density(f)
-    with no_grad():
-        log_z = quadrature_log_z(f, default_grid(2, points=EXPORT_GRID_POINTS))
-        names = {
-            "grid_base_prior.csv": standard_normal_logpdf,
-            "grid_tilted_prior.csv": lambda z: tilted(z) - log_z,
-            "grid_flow_density.csv": g.log_pdf,
-            "grid_qagg_kde.csv": qagg_kde,
-        }
-        # The bytes csv.writer gives, with the shared (x, y) text formatted once.
-        prefixes = [f"{x!r},{y!r}," for x, y in grid.mesh().tolist()]
-        for fname, fn in names.items():
-            values = density_grid(fn, grid).tolist()
-            with open(out / fname, "w", newline="") as fh:
-                fh.write("x,y,log_density\r\n")
-                fh.writelines([f"{p}{v!r}\r\n" for p, v in zip(prefixes, values)])
+    log_z = quadrature_log_z(f, default_grid(2, points=EXPORT_GRID_POINTS))
+    names = {
+        "grid_base_prior.csv": standard_normal_logpdf,
+        "grid_tilted_prior.csv": lambda z: tilted(z) - log_z,
+        "grid_flow_density.csv": g.log_pdf,
+        "grid_qagg_kde.csv": qagg_kde,
+    }
+    # The bytes csv.writer gives, with the shared (x, y) text formatted once.
+    prefixes = [f"{x!r},{y!r}," for x, y in grid.mesh().tolist()]
+    for fname, fn in names.items():
+        values = density_grid(fn, grid).tolist()
+        with open(out / fname, "w", newline="") as fh:
+            fh.write("x,y,log_density\r\n")
+            fh.writelines([f"{p}{v!r}\r\n" for p, v in zip(prefixes, values)])
     return sorted(names)
 
 
@@ -316,7 +314,11 @@ def run_sweep_cell(args) -> dict:
         flow_samples, _ = sample_fast(g, eval_samples, rng.spawn())
         # NCE prior: SIR over N(0, I) proposals weighted by exp(logit).
         nce_samples = sir_sample(
-            lambda e: (e, clf(Tensor(e)).data[:, 0]), vae.nz, 500, eval_samples, rng.seed_int()
+            lambda e: (e, clf.mlp.forward_arrays(e, False)[0][:, 0]),
+            vae.nz,
+            500,
+            eval_samples,
+            rng.seed_int(),
         )
         q_agg = aggregate_posterior_sample(vae, dataset.samples, eval_samples, rng.spawn())
 

@@ -6,15 +6,17 @@ rows, so memory is bounded by the chunk, not the grid."""
 from __future__ import annotations
 
 import logging
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 from scipy.special import logsumexp
 
-from .diffcore import Tensor, no_grad
 from .errors import ShapeMismatchError
 from .gauss import standard_normal_logpdf
+from .models import EnergyFunction
 
 logger = logging.getLogger(__name__)
 
@@ -81,9 +83,7 @@ def default_grid(dim: int, half_width: float = 8.0, points: int | None = None) -
 
 def median_bandwidth(x: np.ndarray, y: np.ndarray) -> float:
     """Median pairwise distance over the pooled samples."""
-    pooled = np.vstack([x, y])
-    d = cdist(pooled, pooled)
-    return float(np.median(d[np.triu_indices_from(d, k=1)]))
+    return float(np.median(pdist(np.vstack([x, y])), overwrite_input=True))
 
 
 def rbf_kernel(x, y, bandwidth: float) -> np.ndarray:
@@ -164,12 +164,16 @@ def frechet_gaussian(x, y) -> float:
 
 def tilted_log_density(f):
     """Rows -> -f(z) + log N(z; 0, I), the unnormalized log density of the
-    tilted prior; ``f`` is an energy model or a plain rows -> values callable."""
-    model = hasattr(f, "parameters")
+    tilted prior; ``f`` is an ``EnergyFunction`` or a plain rows -> values
+    callable. An energy is evaluated off the tape."""
 
     def log_density(z):
-        with no_grad():
-            fz = f(Tensor(z)).data if model else f(z)
+        if isinstance(f, EnergyFunction):
+            if z.shape[-1] != f.nz:
+                raise ShapeMismatchError(f"energy input width {z.shape[-1]} vs nz {f.nz}")
+            fz = f.mlp.forward_arrays(z, False)[0]
+        else:
+            fz = f(z)
         return -np.asarray(fz, dtype=np.float64).reshape(len(z)) + standard_normal_logpdf(z)
 
     return log_density
@@ -180,11 +184,76 @@ def tilted_log_density(f):
 BLOCK_ROWS = 1024
 
 
+def _block_workers() -> int:
+    """Threads that ``map_row_blocks`` runs blocks on: the process's CPUs
+    divided by the BLAS threads set in the environment it started with. With
+    no BLAS thread count set, BLAS already uses every CPU, so 1."""
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        if var in os.environ:
+            try:
+                blas = int(os.environ[var])
+            except ValueError:
+                return 1
+            if hasattr(os, "sched_getaffinity"):
+                cpus = len(os.sched_getaffinity(0))
+            else:
+                cpus = os.cpu_count() or 1
+            return max(1, cpus // max(blas, 1))
+    return 1
+
+
+BLOCK_WORKERS = _block_workers()
+
+
+def _map_threaded(fn, blocks: list, workers: int) -> list:
+    """``fn`` over ``blocks`` on the calling thread plus ``workers - 1``
+    helpers, each taking the next block in order; results in block order.
+    Re-raises the exception of the lowest block that failed."""
+    parts = [None] * len(blocks)
+    failed = []
+    taken = iter(range(len(blocks)))
+    lock = threading.Lock()
+
+    def work():
+        while not failed:
+            with lock:
+                i = next(taken, None)
+            if i is None:
+                return
+            try:
+                parts[i] = fn(blocks[i])
+            except BaseException as e:  # re-raised by the calling thread
+                failed.append((i, e))
+
+    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for t in helpers:
+        t.start()
+    try:
+        work()
+    finally:
+        for t in helpers:
+            t.join()
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    return parts
+
+
 def map_row_blocks(fn, rows: np.ndarray):
     """``fn`` over consecutive blocks of at most BLOCK_ROWS rows, its outputs
-    joined along axis 0; ``fn`` returns one array or a tuple of arrays. An
-    empty ``rows`` is passed through once, so the output shapes are right."""
-    parts = [fn(rows[s : s + BLOCK_ROWS]) for s in range(0, max(len(rows), 1), BLOCK_ROWS)]
+    joined along axis 0 in block order; ``fn`` returns one array or a tuple
+    of arrays. An empty ``rows`` is passed through once, so the output shapes
+    are right.
+
+    The blocks run on the calling thread plus up to BLOCK_WORKERS - 1 helper
+    threads started for this call (never more threads than blocks), since
+    NumPy releases the GIL in BLAS and ufuncs; a failing block's exception is
+    re-raised as it is. Peak memory is the workers times one block's working
+    set. ``fn`` must therefore touch no global state (the tape, ``no_grad``)
+    and draw no random numbers; each row's value must not depend on the block.
+    """
+    blocks = [rows[s : s + BLOCK_ROWS] for s in range(0, max(len(rows), 1), BLOCK_ROWS)]
+    workers = min(BLOCK_WORKERS, len(blocks))
+    parts = _map_threaded(fn, blocks, workers) if workers > 1 else [fn(b) for b in blocks]
     if isinstance(parts[0], tuple):
         return tuple(np.concatenate(p) for p in zip(*parts))
     return np.concatenate(parts)
@@ -198,19 +267,31 @@ def quadrature_log_z(f, grid: GridSpec) -> float:
     return float(logsumexp(logw))
 
 
+# Query rows per KDE distance buffer: 256 rows against 2000 draws is 4 MiB.
+KDE_SLICE_ROWS = 256
+
+
 def qagg_log_kde(q_samples: np.ndarray):
     """Rows -> log Gaussian KDE of aggregate-posterior draws ``q_samples``, bandwidth
-    max(1e-3, std * n^(-1/6)); log-sum-exp in place on each call's distance buffer."""
+    max(1e-3, std * n^(-1/6)); log-sum-exp in place on a distance buffer of at
+    most KDE_SLICE_ROWS query rows."""
     n, dim = q_samples.shape
     bw2 = max(1e-3, float(q_samples.std()) * n ** (-1.0 / 6.0)) ** 2
     log_norm = np.log(n) + 0.5 * dim * np.log(2 * np.pi * bw2)
 
     def log_density(z):
-        a = cdist(z, q_samples, "sqeuclidean")
-        a /= -2.0 * bw2
-        peak = a.max(axis=1, keepdims=True)
-        a -= peak
-        return np.log(np.exp(a, out=a).sum(axis=1)) + peak[:, 0] - log_norm
+        out = np.empty(len(z))
+        buf = np.empty((min(len(z), KDE_SLICE_ROWS), n))
+        for s in range(0, len(z), KDE_SLICE_ROWS):
+            rows = z[s : s + KDE_SLICE_ROWS]
+            a = cdist(rows, q_samples, "sqeuclidean", out=buf[: len(rows)])
+            a /= -2.0 * bw2
+            peak = a.max(axis=1, keepdims=True)
+            a -= peak
+            out[s : s + KDE_SLICE_ROWS] = (
+                np.log(np.exp(a, out=a).sum(axis=1)) + peak[:, 0] - log_norm
+            )
+        return out
 
     return log_density
 

@@ -85,8 +85,9 @@ def sir_sample(propose, nz: int, proposals: int, count: int, seed):
 
     Per chunk of picks the loop draws the N(0, I) noise rows, then one
     uniform per pick. ``propose`` maps each block of metrics.BLOCK_ROWS
-    noise rows to (latents, un-normalized log weights), one per row; it
-    runs under no_grad, and ``resample`` picks in log space.
+    noise rows to (latents, un-normalized log weights), one per row; it runs
+    in ``map_row_blocks``, so it records nothing on the tape. ``resample``
+    picks in log space.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
@@ -98,8 +99,7 @@ def sir_sample(propose, nz: int, proposals: int, count: int, seed):
     while done < count:
         b = min(chunk, count - done)
         eps = rng.normal((b * proposals, nz))
-        with no_grad():
-            z, logw = map_row_blocks(propose, eps)
+        z, logw = map_row_blocks(propose, eps)
         picks = resample(logw.reshape(b, proposals), rng.uniform((b, 1)))
         out[done : done + b] = z.reshape(b, proposals, nz)[np.arange(b), picks]
         done += b

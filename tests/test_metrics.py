@@ -1,9 +1,13 @@
 """Grid-path tests: density-grid layout, the aggregate-posterior KDE against
-its closed form, the export's bytes, normalizer and memory bound, and the
-default grid against the closed-form linear tilt."""
+its closed form, the export's bytes, normalizer and memory bound, the
+default grid against the closed-form linear tilt, threaded row blocks
+against the serial loop, and the median-distance bandwidth."""
 
 import csv
 import io
+import multiprocessing
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -12,13 +16,18 @@ from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
 
 import evalp.app.cli as cli
+from evalp import metrics
 from evalp.app.cli import EXPORT_GRID_POINTS, _export_density_grids
 from evalp.data import make_gaussian_ring
+from evalp.diffcore import Tensor, active_tape, clear_tape, needs_grad
+from evalp.errors import DomainError
 from evalp.metrics import (
     BLOCK_ROWS,
     GridSpec,
     default_grid,
     density_grid,
+    map_row_blocks,
+    median_bandwidth,
     qagg_log_kde,
     quadrature_log_z,
     tilted_log_density,
@@ -85,7 +94,17 @@ def test_qagg_kde_block_keeps_one_distance_buffer():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 24 * 2**20  # one 15.6 MiB distance buffer; a second copy would exceed it
+    # One 256-row distance buffer is 3.9 MiB; a second one, or one for the
+    # whole 1024-row block (15.6 MiB), would exceed the bound.
+    assert peak < 6 * 2**20
+
+
+def test_qagg_kde_in_row_slices_matches_one_buffer(monkeypatch):
+    q = make_gaussian_ring(2000, seed=3).samples
+    z = Rng(8).normal((BLOCK_ROWS + 300, 2)) * 3.0
+    sliced = qagg_log_kde(q)(z)
+    monkeypatch.setattr(metrics, "KDE_SLICE_ROWS", 10**9)
+    np.testing.assert_array_equal(sliced, qagg_log_kde(q)(z))
 
 
 def test_export_writes_the_csv_writer_bytes_with_shared_xy_text(tmp_path, ring_data, monkeypatch):
@@ -149,3 +168,162 @@ def test_default_3d_grid_recovers_linear_tilt_log_z():
     a = np.array([0.8, -0.5, 0.3])
     log_z = quadrature_log_z(lambda z: z @ a, default_grid(3))
     assert log_z == pytest.approx(0.5 * a @ a, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Threaded row blocks
+# ---------------------------------------------------------------------------
+
+
+def _serial_and_threaded(monkeypatch, call):
+    """``call()`` with the blocks on one thread, then on two."""
+    monkeypatch.setattr(metrics, "BLOCK_WORKERS", 1)
+    serial = call()
+    monkeypatch.setattr(metrics, "BLOCK_WORKERS", 2)
+    return serial, call()
+
+
+_W = Rng(4).normal((3, 5))
+
+
+def _array_block(z):
+    return np.tanh(z @ _W).sum(axis=1)
+
+
+def _tuple_block(z):
+    h = np.tanh(z @ _W)
+    return h, h.sum(axis=1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 5000])
+@pytest.mark.parametrize("fn", [_array_block, _tuple_block])
+def test_threaded_blocks_match_the_serial_loop(n, fn, monkeypatch):
+    rows = Rng(n).normal((n, 3))
+    serial, threaded = _serial_and_threaded(monkeypatch, lambda: map_row_blocks(fn, rows))
+    if fn is _tuple_block:
+        assert isinstance(threaded, tuple) and len(threaded) == 2
+        for a, b in zip(serial, threaded):
+            assert a.shape == b.shape and a.shape[0] == n
+            np.testing.assert_array_equal(a, b)
+    else:
+        assert threaded.shape == serial.shape == (n,)
+        np.testing.assert_array_equal(threaded, serial)
+
+
+def test_threaded_grids_and_quadrature_match_the_serial_loop(monkeypatch):
+    f = EnergyFunction(2, 16, Rng(2))
+    g = FlowSampler(2, 8, 2, Rng(3))
+    kde = qagg_log_kde(make_gaussian_ring(2000, seed=3).samples)
+    grid = default_grid(2, points=101)
+
+    def evaluate():
+        grids = [density_grid(fn, grid) for fn in (tilted_log_density(f), g.log_pdf, kde)]
+        return grids, quadrature_log_z(f, default_grid(2, points=201))
+
+    (serial, serial_z), (threaded, threaded_z) = _serial_and_threaded(monkeypatch, evaluate)
+    for a, b in zip(serial, threaded):
+        np.testing.assert_array_equal(a, b)
+    assert threaded_z == serial_z
+
+
+def test_more_workers_than_cores_evaluate_each_block_once(monkeypatch):
+    monkeypatch.setattr(metrics, "BLOCK_WORKERS", 8)
+    monkeypatch.setattr(metrics, "BLOCK_ROWS", 4)
+    rows = np.arange(4000, dtype=np.float64)[:, None]
+    seen = []
+
+    def fn(z):
+        seen.append(z[0, 0])
+        return z[:, 0] * 2.0
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = map_row_blocks(fn, rows)
+    finally:
+        sys.setswitchinterval(interval)
+    # A block index taken twice, or lost, would show in both.
+    assert sorted(seen) == list(range(0, 4000, 4))
+    np.testing.assert_array_equal(out, rows[:, 0] * 2.0)
+
+
+def test_failing_block_raises_its_own_error_and_leaves_no_thread(monkeypatch):
+    monkeypatch.setattr(metrics, "BLOCK_WORKERS", 2)
+    baseline = threading.active_count()
+
+    def fn(z):
+        if z[0, 0] == BLOCK_ROWS:
+            raise DomainError("block 1")
+        if z[0, 0] == 3 * BLOCK_ROWS:
+            raise ValueError("block 3")
+        return z[:, 0]
+
+    rows = np.arange(5 * BLOCK_ROWS, dtype=np.float64)[:, None]
+    # The lowest failing block's error, as the serial loop raises it.
+    with pytest.raises(DomainError, match="block 1"):
+        map_row_blocks(fn, rows)
+    assert threading.active_count() == baseline
+
+
+def test_threaded_quadrature_leaves_the_tape_empty_and_grad_mode_on(monkeypatch):
+    monkeypatch.setattr(metrics, "BLOCK_WORKERS", 2)
+    f = EnergyFunction(2, 16, Rng(2))
+    clear_tape()
+    # As run_eval calls it: outside no_grad, with parameters that require grad.
+    for _ in range(3):
+        quadrature_log_z(f, default_grid(2, points=201))
+    assert len(active_tape()) == 0
+    assert needs_grad([Tensor(np.zeros(1), requires_grad=True)])
+
+
+def _map_blocks_in_child():
+    out = map_row_blocks(_array_block, np.ones((5000, 3)))
+    if out.shape != (5000,):
+        raise SystemExit(1)
+
+
+def test_fork_child_maps_blocks_after_its_parent_did(monkeypatch):
+    monkeypatch.setattr(metrics, "BLOCK_WORKERS", 2)
+    baseline = threading.active_count()
+    map_row_blocks(_array_block, np.ones((5000, 3)))
+    assert threading.active_count() == baseline
+    child = multiprocessing.get_context("fork").Process(target=_map_blocks_in_child)
+    child.start()
+    child.join(timeout=60)
+    alive = child.is_alive()
+    if alive:
+        child.kill()
+        child.join()
+    assert not alive and child.exitcode == 0
+
+
+# ---------------------------------------------------------------------------
+# Median-distance bandwidth
+# ---------------------------------------------------------------------------
+
+
+def _triu_median_bandwidth(x, y):
+    pooled = np.vstack([x, y])
+    d = cdist(pooled, pooled)
+    return float(np.median(d[np.triu_indices_from(d, k=1)]))
+
+
+@pytest.mark.parametrize(
+    "n, d", [(7, 2), (8, 3), (50, 2), (101, 16), (300, 5), (999, 2), (2000, 2), (2000, 16)]
+)
+def test_median_bandwidth_equals_the_upper_triangle_median(n, d):
+    pooled = Rng(n + d).normal((n, d)) * np.linspace(0.5, 2.0, d)
+    x, y = pooled[: n // 2], pooled[n // 2 :]
+    assert median_bandwidth(x, y) == _triu_median_bandwidth(x, y)
+
+
+def test_median_bandwidth_holds_one_condensed_distance_vector():
+    x, y = Rng(1).normal((1000, 2)), Rng(2).normal((1000, 2))
+    tracemalloc.start()
+    try:
+        median_bandwidth(x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The 1999000 pair distances are 15.3 MiB; the full matrix alone is 30.5 MiB.
+    assert peak < 20 * 2**20

@@ -1,7 +1,8 @@
 """Sampling tests: the resampler at hand-set cdf boundaries, tilted_base
 (the default) SIR against the 2-d quadrature oracle, the NFE counter against the rows
-actually evaluated, evaluation in row blocks against one block, and the
-paper_literal picks against a reference that evaluates Z-hat."""
+actually evaluated, evaluation in row blocks against one block and on two
+threads against one, and the paper_literal picks against a reference that
+evaluates Z-hat."""
 
 import tracemalloc
 
@@ -130,6 +131,19 @@ def test_fast_sampling_in_row_blocks_matches_one_block(monkeypatch):
     monkeypatch.setattr(metrics, "BLOCK_ROWS", 10**9)
     whole, _ = sample_fast(g, 5000, 7)
     np.testing.assert_allclose(blocked, whole, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["paper_literal", "tilted_base"])
+def test_threaded_sir_and_fast_sampling_match_one_thread(mode, monkeypatch):
+    f, g = _nonlinear_models()
+    cfg = SirConfig(proposals=500, seed=4, weight_mode=mode)
+    monkeypatch.setattr(metrics, "BLOCK_WORKERS", 1)
+    sir, _ = sample_sir_batch(f, g, cfg, 450)
+    fast, _ = sample_fast(g, 5000, 7)
+    monkeypatch.setattr(metrics, "BLOCK_WORKERS", 2)
+    # 450 picks at M = 500 span two chunks of 400 and 50 picks.
+    np.testing.assert_array_equal(sample_sir_batch(f, g, cfg, 450)[0], sir)
+    np.testing.assert_array_equal(sample_fast(g, 5000, 7)[0], fast)
 
 
 def test_sir_memory_is_bounded_by_the_block():
