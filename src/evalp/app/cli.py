@@ -17,6 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
 from pathlib import Path
 
+from .. import metrics
 from ..data import make_dataset
 from ..errors import (
     CheckpointError,
@@ -314,7 +315,7 @@ def run_sweep_cell(args) -> dict:
         flow_samples, _ = sample_fast(g, eval_samples, rng.spawn())
         # NCE prior: SIR over N(0, I) proposals weighted by exp(logit).
         nce_samples = sir_sample(
-            lambda e: (e, clf.mlp.forward_arrays(e, False)[0][:, 0]),
+            lambda e: (e, clf.forward_arrays(e)[0][:, 0]),
             vae.nz,
             500,
             eval_samples,
@@ -329,6 +330,12 @@ def run_sweep_cell(args) -> dict:
     except EvalpError as e:
         row["error"] = f"{type(e).__name__}: {e}"
     return row
+
+
+def _set_block_workers(workers: int) -> None:
+    """Sweep pool initializer: each pool process runs its row blocks on
+    ``workers`` threads."""
+    metrics.BLOCK_WORKERS = workers
 
 
 def run_sweep_kl(cfg: RunConfig, out: Path, threads: int = 1) -> list[dict]:
@@ -346,8 +353,14 @@ def run_sweep_kl(cfg: RunConfig, out: Path, threads: int = 1) -> list[dict]:
         for i in range(sweep.n_seeds)
     ]
     if threads > 1:
-        # Workers start at the first submit, so never more than the cells.
-        with ProcessPoolExecutor(max_workers=min(threads, len(cells))) as pool:
+        # Workers start at the first submit, so never more than the cells;
+        # they share the CPUs that row blocks would otherwise run on.
+        workers = min(threads, len(cells))
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_set_block_workers,
+            initargs=(max(1, metrics.BLOCK_WORKERS // workers),),
+        ) as pool:
             rows = list(pool.map(run_sweep_cell, cells))
     else:
         rows = [run_sweep_cell(c) for c in cells]

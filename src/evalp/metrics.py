@@ -16,7 +16,6 @@ from scipy.special import logsumexp
 
 from .errors import ShapeMismatchError
 from .gauss import standard_normal_logpdf
-from .models import EnergyFunction
 
 logger = logging.getLogger(__name__)
 
@@ -164,16 +163,12 @@ def frechet_gaussian(x, y) -> float:
 
 def tilted_log_density(f):
     """Rows -> -f(z) + log N(z; 0, I), the unnormalized log density of the
-    tilted prior; ``f`` is an ``EnergyFunction`` or a plain rows -> values
-    callable. An energy is evaluated off the tape."""
+    tilted prior; ``f`` is an energy model, evaluated off the tape, or a
+    plain rows -> values callable."""
+    model = hasattr(f, "parameters")
 
     def log_density(z):
-        if isinstance(f, EnergyFunction):
-            if z.shape[-1] != f.nz:
-                raise ShapeMismatchError(f"energy input width {z.shape[-1]} vs nz {f.nz}")
-            fz = f.mlp.forward_arrays(z, False)[0]
-        else:
-            fz = f(z)
+        fz = f.forward_arrays(z)[0] if model else f(z)
         return -np.asarray(fz, dtype=np.float64).reshape(len(z)) + standard_normal_logpdf(z)
 
     return log_density
@@ -187,7 +182,8 @@ BLOCK_ROWS = 1024
 def _block_workers() -> int:
     """Threads that ``map_row_blocks`` runs blocks on: the process's CPUs
     divided by the BLAS threads set in the environment it started with. With
-    no BLAS thread count set, BLAS already uses every CPU, so 1."""
+    no BLAS thread count set, BLAS already uses every CPU, so 1. The processes
+    of ``sweep-kl --threads N`` each take a 1/N share of it."""
     for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
         if var in os.environ:
             try:
@@ -252,8 +248,7 @@ def map_row_blocks(fn, rows: np.ndarray):
     and draw no random numbers; each row's value must not depend on the block.
     """
     blocks = [rows[s : s + BLOCK_ROWS] for s in range(0, max(len(rows), 1), BLOCK_ROWS)]
-    workers = min(BLOCK_WORKERS, len(blocks))
-    parts = _map_threaded(fn, blocks, workers) if workers > 1 else [fn(b) for b in blocks]
+    parts = _map_threaded(fn, blocks, min(BLOCK_WORKERS, len(blocks)))
     if isinstance(parts[0], tuple):
         return tuple(np.concatenate(p) for p in zip(*parts))
     return np.concatenate(parts)

@@ -172,10 +172,19 @@ class EnergyFunction:
             rng,
         )
 
-    def __call__(self, z: Tensor) -> Tensor:
+    def _check_width(self, z) -> None:
         if z.shape[-1] != self.nz:
             raise ShapeMismatchError(f"energy input width {z.shape[-1]} vs nz {self.nz}")
+
+    def __call__(self, z: Tensor) -> Tensor:
+        self._check_width(z)
         return self.mlp(z)
+
+    def forward_arrays(self, z: np.ndarray, keep: bool = False):
+        """The energy at the rows ``z`` off the tape: (values (B, 1), cache),
+        as ``Mlp.forward_arrays``."""
+        self._check_width(z)
+        return self.mlp.forward_arrays(z, keep)
 
     def parameters(self):
         return self.mlp.parameters()
@@ -197,10 +206,8 @@ def energy_input_grad(f: EnergyFunction, z: np.ndarray):
     activations they are exact almost everywhere. No gradient reaches ``z``
     or the biases.
     """
-    if z.shape[-1] != f.nz:
-        raise ShapeMismatchError(f"energy input width {z.shape[-1]} vs nz {f.nz}")
+    _, (_, masks) = f.forward_arrays(z, keep=True)
     mlp = f.mlp
-    _, (_, masks) = mlp.forward_arrays(z, keep=True)
     # Contiguous transposed copies, as the op-by-op route multiplies by: a
     # BLAS product can differ in its last bit with the operands' layout.
     w_t = [w.data.T.copy() for w in mlp.weights]
@@ -409,10 +416,8 @@ def flow_terms(f: EnergyFunction, g: FlowSampler, eps: np.ndarray, keep: bool = 
     returns (flow caches, energy cache) for ``FlowSampler.pull_forward`` and
     ``Mlp.pull_arrays``. Records nothing.
     """
-    if f.nz != g.nz:
-        raise ShapeMismatchError(f"energy input width {g.nz} vs nz {f.nz}")
     z, logdet, *flow_cache = g.forward(eps, keep)
-    fz, f_cache = f.mlp.forward_arrays(z, keep)
+    fz, f_cache = f.forward_arrays(z, keep)
     log_ratio = standard_normal_logpdf(eps) - logdet - standard_normal_logpdf(z)
     if keep:
         return z, fz, log_ratio, (flow_cache[0], f_cache)

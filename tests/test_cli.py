@@ -316,13 +316,16 @@ SWEEP = {"kl_weights": [0.5, 2.0], "n_seeds": 1, "eval_samples": 16}
 
 @pytest.fixture
 def pool_workers(monkeypatch):
-    """The max_workers of each pool the sweep opens; the pool runs the
-    (stubbed) cells serially and forks nothing."""
+    """The max_workers of each pool the sweep opens; the pool runs its
+    initializer and the (stubbed) cells in this process and forks nothing.
+    The row blocks start on 4 threads."""
     workers = []
+    monkeypatch.setattr(metrics, "BLOCK_WORKERS", 4)
 
     class SerialPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             workers.append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -340,7 +343,7 @@ def pool_workers(monkeypatch):
 
 def test_sweep_workers_are_capped_by_the_cells(tmp_path, pool_workers):
     assert _run(_config(tmp_path, sweep=SWEEP), tmp_path, "sweep-kl", "--threads", "5000") == 0
-    assert pool_workers == [2]
+    assert pool_workers == [2] and metrics.BLOCK_WORKERS == 2
     with open(tmp_path / "sweep_kl.csv", newline="") as fh:
         assert [r["kl_weight"] for r in csv.DictReader(fh)] == ["0.5", "2.0"]
 

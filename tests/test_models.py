@@ -84,6 +84,14 @@ class TestEnergy:
     def test_width_mismatch(self, rng):
         with pytest.raises(ShapeMismatchError):
             EnergyFunction(3, 16, rng)(Tensor(rng.normal((4, 2))))
+        with pytest.raises(ShapeMismatchError, match="width 2 vs nz 3"):
+            EnergyFunction(3, 16, rng).forward_arrays(rng.normal((4, 2)))
+
+    def test_forward_arrays_matches_the_tape_pass(self, rng):
+        f = EnergyFunction(3, 16, rng)
+        z = rng.normal((50, 3))
+        out, _ = f.forward_arrays(z)
+        np.testing.assert_array_equal(out, f(Tensor(z)).data)
 
     def test_param_gradcheck(self, rng):
         f = EnergyFunction(2, 8, rng)

@@ -180,7 +180,7 @@ class TestMlGradientIdentity:
         np.testing.assert_allclose(grad_fd, -expectation, atol=1e-6)
 
 
-class LinearTiltEnergy:
+class LinearTiltEnergy(EnergyFunction):
     """Fixed energy -a.z, a one-layer linear ``Mlp`` with weight -a; the
     tilted density is exactly N(a, I)."""
 
