@@ -7,12 +7,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .diffcore import Tensor, no_grad
 from .diffcore.tensor import stable_sigmoid
 from .errors import ShapeMismatchError
-from .metrics import map_row_blocks
+from .metrics import logsumexp, map_row_blocks
 from .models import EnergyFunction, FlowSampler, VaeModel, flow_terms
 from .rng import Rng
 

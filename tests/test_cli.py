@@ -1,9 +1,10 @@
 """CLI tests: one end-to-end pass through every command on a tiny config,
 with every file read back, the SIR weight mode named in each report,
-byte-identical outputs from two processes, empty samples, the ``--seed``
-flag against the config file's seed, the exit code of each failure kind,
-the sweep's worker count, and the sweep's NCE SIR against the closed-form
-linear tilt and in row blocks against one block."""
+byte-identical outputs from two processes, a runtime import that loads no
+SciPy, empty samples, the ``--seed`` flag against the config file's seed,
+the exit code of each failure kind, the sweep's worker count, and the
+sweep's NCE SIR against the closed-form linear tilt and in row blocks
+against one block."""
 
 import csv
 import json
@@ -199,6 +200,17 @@ def test_two_processes_write_byte_identical_outputs(tmp_path):
     assert names == sorted(p.name for p in outs[1].iterdir() if p.suffix in (".csv", ".ckpt"))
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_runtime_modules_load_no_scipy():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys, evalp.app.cli, evalp.metrics, evalp.sampling; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True)
+    assert run.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("mode", ["fast", "sir"])

@@ -1,7 +1,8 @@
 """Grid-path tests: density-grid layout, the aggregate-posterior KDE against
 its closed form, the export's bytes, normalizer and memory bound, the
 default grid against the closed-form linear tilt, threaded row blocks
-against the serial loop, and the median-distance bandwidth."""
+against the serial loop, the median-distance bandwidth, and the NumPy
+log-sum-exp, squared distances and RBF kernel bitwise against SciPy."""
 
 import csv
 import io
@@ -13,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
-from scipy.special import logsumexp
+from scipy.special import logsumexp as scipy_logsumexp
 
 import evalp.app.cli as cli
 from evalp import metrics
@@ -26,10 +27,13 @@ from evalp.metrics import (
     GridSpec,
     default_grid,
     density_grid,
+    logsumexp,
     map_row_blocks,
     median_bandwidth,
     qagg_log_kde,
     quadrature_log_z,
+    rbf_kernel,
+    sq_distances,
     tilted_log_density,
 )
 from evalp.models import EnergyFunction, FlowSampler, VaeModel
@@ -79,7 +83,7 @@ def test_qagg_kde_stays_finite_far_from_the_data():
     scaled = -cdist(z, q, "sqeuclidean") / (2 * _kde_bandwidth_sq(q))
     with np.errstate(divide="ignore"):
         assert np.log(np.exp(scaled).sum()) == -np.inf
-    ref = logsumexp(scaled, axis=1) - np.log(len(q)) - np.log(2 * np.pi * _kde_bandwidth_sq(q))
+    ref = scipy_logsumexp(scaled, axis=1) - np.log(len(q)) - np.log(2 * np.pi * _kde_bandwidth_sq(q))
     value = qagg_log_kde(q)(z)
     assert np.isfinite(value).all()
     np.testing.assert_allclose(value, ref, rtol=1e-14, atol=0)
@@ -327,3 +331,90 @@ def test_median_bandwidth_holds_one_condensed_distance_vector():
         tracemalloc.stop()
     # The 1999000 pair distances are 15.3 MiB; the full matrix alone is 30.5 MiB.
     assert peak < 20 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# Log-sum-exp, squared distances and the RBF kernel against SciPy
+# ---------------------------------------------------------------------------
+
+
+def _assert_same_bits(value, ref):
+    assert np.shape(value) == np.shape(ref)
+    np.testing.assert_array_equal(value, ref, strict=True)
+
+
+def _lse_arrays():
+    a = Rng(21).normal((40, 50)) * 30.0
+    ties = np.round(Rng(22).normal((40, 50)) * 2.0)
+    ties[:, :3] = ties.max()
+    row_of_neg_inf = a.copy()
+    row_of_neg_inf[7] = -np.inf
+    pos_inf, nan = a.copy(), a.copy()
+    pos_inf[3, 4] = np.inf
+    nan[5, 6] = np.nan
+    return {
+        "normal": a,
+        "ties": ties,
+        "all_equal": np.full((4, 6), 2.5),
+        "quadrature_grid": Rng(23).normal((801 * 801,)) * 50.0 - 20.0,
+        "row_of_neg_inf": row_of_neg_inf,
+        "pos_inf": pos_inf,
+        "nan": nan,
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_lse_arrays()))
+@pytest.mark.parametrize("axis", [None, -1])
+@pytest.mark.parametrize("keepdims", [False, True])
+def test_logsumexp_matches_scipy_bit_for_bit(case, axis, keepdims):
+    a = _lse_arrays()[case]
+    with np.errstate(all="ignore"):
+        ref = scipy_logsumexp(a, axis=axis, keepdims=keepdims)
+    _assert_same_bits(logsumexp(a, axis=axis, keepdims=keepdims), ref)
+
+
+def test_logsumexp_edge_values_follow_the_direct_formula():
+    with np.errstate(all="ignore"):
+        assert logsumexp(np.full(5, -np.inf)) == -np.inf
+        assert logsumexp(np.array([1.0, np.inf])) == np.inf
+        assert np.isnan(logsumexp(np.array([1.0, np.nan])))
+    assert logsumexp(np.array([1000.0, 1000.0])) == 1000.0 + np.log(2.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 16, 256])
+def test_sq_distances_match_scipy_cdist_bit_for_bit(d):
+    # 700 columns give 93-row blocks, so 300 rows end in a partial block.
+    x = Rng(d).normal((300, d)) * np.linspace(0.1, 10.0, d)
+    y = Rng(d + 1).normal((700, d)) * 3.0
+    ref = cdist(x, y, "sqeuclidean")
+    _assert_same_bits(sq_distances(x, y), ref)
+    out = np.empty((300, 700))
+    assert sq_distances(x, y, out=out) is out
+    _assert_same_bits(out, ref)
+
+
+def test_sq_distances_leave_the_ufunc_buffer_size_as_it_was():
+    before = np.getbufsize()
+    sq_distances(Rng(1).normal((50, 2)), Rng(2).normal((1000, 2)))
+    assert np.getbufsize() == before
+
+
+@pytest.mark.parametrize("d", [1, 2, 16])
+def test_rbf_kernel_matches_the_scipy_formula_bit_for_bit(d):
+    x, y = Rng(d).normal((120, d)), Rng(d + 1).normal((90, d))
+    bw = 0.7 * np.sqrt(d)
+    ref = np.exp(-cdist(x, y, "sqeuclidean") / (2.0 * bw**2))
+    _assert_same_bits(rbf_kernel(x, y, bw), ref)
+
+
+def test_rbf_kernel_holds_one_kernel_matrix():
+    x, y = Rng(1).normal((1000, 2)), Rng(2).normal((1000, 2))
+    tracemalloc.start()
+    try:
+        rbf_kernel(x, y, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The 1000x1000 matrix is 7.6 MiB, the distance scratch 0.5 MiB; a second
+    # matrix-sized temporary would exceed the bound.
+    assert peak < 1000 * 1000 * 8 + 2**20

@@ -1,8 +1,8 @@
-"""Sampling tests: the resampler at hand-set cdf boundaries, tilted_base
-(the default) SIR against the 2-d quadrature oracle, the NFE counter against the rows
-actually evaluated, evaluation in row blocks against one block and on two
-threads against one, and the paper_literal picks against a reference that
-evaluates Z-hat."""
+"""Sampling tests: the resampler at hand-set cdf boundaries and against
+SciPy's log-sum-exp, tilted_base (the default) SIR against the 2-d
+quadrature oracle, the NFE counter against the rows actually evaluated,
+evaluation in row blocks against one block and on two threads against one,
+and the paper_literal picks against a reference that evaluates Z-hat."""
 
 import tracemalloc
 
@@ -34,6 +34,15 @@ def test_resample_picks_first_index_whose_cdf_reaches_u(u, pick):
 def test_resample_normalizes_the_weights():
     for u in (0.1, 0.3, 0.6, 0.9):
         assert resample(LOGW + 7.0, u) == resample(LOGW, u)
+
+
+def test_resample_normalizes_like_scipy_logsumexp():
+    logw = np.round(Rng(5).normal((300, 500)) * 8.0)
+    logw[:, 0] = logw.max(axis=1)
+    logw[7, 100:] = -np.inf
+    u = Rng(6).uniform((300, 1))
+    cdf = np.cumsum(np.exp(logw - logsumexp(logw, axis=-1, keepdims=True)), axis=-1)
+    np.testing.assert_array_equal(resample(logw, u), (cdf < u).sum(axis=-1).clip(0, 499))
 
 
 def test_resample_rows_are_independent():
