@@ -140,12 +140,17 @@ def sq_distances(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) ->
     columns in order, so equal to SciPy's cdist(x, y, "sqeuclidean") bit for
     bit. Scratch is a copy of y's columns and one block of rows of ``out``
     of at most SCRATCH_ELEMS elements."""
-    n, d = x.shape
-    m = len(y)
     if out is None:
-        out = np.empty((n, m))
+        out = np.empty((len(x), len(y)))
     # Contiguous columns of y keep NumPy's vectorized scalar-minus-row loop.
-    y_cols = np.ascontiguousarray(y.T)
+    return _sq_distances_to_cols(x, np.ascontiguousarray(y.T), out)
+
+
+def _sq_distances_to_cols(x: np.ndarray, y_cols: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``sq_distances`` against the rows of y given as its d x m columns,
+    each column contiguous."""
+    n, d = x.shape
+    m = y_cols.shape[1]
     step = max(1, SCRATCH_ELEMS // max(m, 1))
     scratch = np.empty((min(step, n), m))
     with _unbuffered_rows(m):
@@ -165,20 +170,38 @@ def sq_distances(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) ->
 
 
 def median_bandwidth(x: np.ndarray, y: np.ndarray) -> float:
-    """Median pairwise distance over the pooled samples. The n(n-1)/2
-    distances of the upper triangle fill one condensed vector, a block of
-    rows at a time, each block against the rows after its first."""
+    """Median pairwise distance over the pooled samples, equal to
+    np.median of the n(n-1)/2 upper-triangle distances. Each block of rows
+    writes its squared distances to all later rows straight into one vector
+    of the pairs: first the rectangle against the rows after the block, then
+    the pairs within it. sqrt is monotone, so one partition of the squared
+    distances finds the middle one or two, and only those get a sqrt."""
     pooled = np.vstack([x, y])
     n = len(pooled)
-    dist = np.empty(n * (n - 1) // 2)
+    cols = np.ascontiguousarray(pooled.T)
+    sq = np.empty(n * (n - 1) // 2)
     step = max(1, SCRATCH_ELEMS // n)
+    upper = np.triu(np.ones((step, step), dtype=bool), 1)
     pos = 0
-    for s in range(0, n - 1, step):
-        block = sq_distances(pooled[s : s + step], pooled[s + 1 :])
-        for r, row in enumerate(block):
-            np.sqrt(row[r:], out=dist[pos : pos + len(row) - r])
-            pos += len(row) - r
-    return float(np.median(dist, overwrite_input=True))
+    for s in range(0, n, step):
+        e = min(s + step, n)
+        rows = pooled[s:e]
+        size = (e - s) * (n - e)
+        _sq_distances_to_cols(rows, cols[:, e:], sq[pos : pos + size].reshape(e - s, n - e))
+        pos += size
+        within = _sq_distances_to_cols(rows, cols[:, s:e], np.empty((e - s, e - s)))
+        within = within[upper[: e - s, : e - s]]
+        sq[pos : pos + len(within)] = within
+        pos += len(within)
+    half = len(sq) // 2
+    sq.partition(half)
+    # NaN sorts last, and np.median returns NaN when there is one.
+    if np.isnan(sq[half:].max()):
+        return float("nan")
+    mid = np.sqrt(sq[half])
+    if len(sq) % 2:
+        return float(mid)
+    return float((np.sqrt(sq[:half].max()) + mid) / 2.0)
 
 
 def rbf_kernel(x, y, bandwidth: float) -> np.ndarray:

@@ -313,12 +313,21 @@ def _triu_median_bandwidth(x, y):
 
 
 @pytest.mark.parametrize(
-    "n, d", [(7, 2), (8, 3), (50, 2), (101, 16), (300, 5), (999, 2), (2000, 2), (2000, 16)]
+    "n, d",
+    [(2, 3), (3, 3), (4, 3), (7, 2), (8, 3), (50, 2), (101, 16), (300, 5), (999, 2)]
+    + [(2000, 2), (2000, 16)],
 )
 def test_median_bandwidth_equals_the_upper_triangle_median(n, d):
     pooled = Rng(n + d).normal((n, d)) * np.linspace(0.5, 2.0, d)
     x, y = pooled[: n // 2], pooled[n // 2 :]
     assert median_bandwidth(x, y) == _triu_median_bandwidth(x, y)
+
+
+def test_median_bandwidth_is_nan_when_a_distance_is():
+    x, y = Rng(1).normal((40, 2)), Rng(2).normal((40, 2))
+    x[3, 1] = np.nan
+    assert np.isnan(median_bandwidth(x, y))
+    assert np.isnan(_triu_median_bandwidth(x, y))
 
 
 def test_median_bandwidth_holds_one_condensed_distance_vector():
