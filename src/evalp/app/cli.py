@@ -315,7 +315,7 @@ def run_sweep_cell(args) -> dict:
         flow_samples, _ = sample_fast(g, eval_samples, rng.spawn())
         # NCE prior: SIR over N(0, I) proposals weighted by exp(logit).
         nce_samples = sir_sample(
-            lambda e: (e, clf.forward_arrays(e)[0][:, 0]),
+            lambda e: (e, clf(e)[:, 0]),
             vae.nz,
             500,
             eval_samples,

@@ -2,7 +2,8 @@
 
 ``record`` adds one custom node to the tape and ``needs_grad`` says
 whether it will be; ``active_tape`` and ``clear_tape`` expose the tape for
-counting and resetting it.
+counting and resetting it. Every training step records one such node; there
+are no elementwise tensor ops.
 """
 
 from .adam import Adam

@@ -286,13 +286,11 @@ def frechet_gaussian(x, y) -> float:
 
 def tilted_log_density(f):
     """Rows -> -f(z) + log N(z; 0, I), the unnormalized log density of the
-    tilted prior; ``f`` is an energy model, evaluated off the tape, or a
-    plain rows -> values callable."""
-    model = hasattr(f, "parameters")
+    tilted prior; ``f`` maps rows to energies, as an ``EnergyFunction`` does
+    off the tape."""
 
     def log_density(z):
-        fz = f.forward_arrays(z)[0] if model else f(z)
-        return -np.asarray(fz, dtype=np.float64).reshape(len(z)) + standard_normal_logpdf(z)
+        return -np.asarray(f(z), dtype=np.float64).reshape(len(z)) + standard_normal_logpdf(z)
 
     return log_density
 

@@ -10,10 +10,10 @@ Module passes compute on arrays and record nothing themselves.
 return their rows, plus what a closed-form reverse pass needs when asked:
 ``Mlp.pull_arrays``, ``FlowSampler.pull_forward`` and the pull that
 ``energy_input_grad`` returns. A step's loss (``stage1.elbo_loss``,
-``stage2.critic_loss``, ``stage2.sampler_loss``) records one tape node over
-the parameters and chains those pulls; ``Mlp.__call__`` is the one module
-call that records a node of its own. The flow's inverse and ``log_pdf``
-only evaluate densities.
+``stage2.critic_loss``, ``stage2.sampler_loss``, ``stage2.nce_loss``)
+records one tape node over the parameters and chains those pulls.
+Calling an ``EnergyFunction`` maps rows to energies off the tape. The
+flow's inverse and ``log_pdf`` only evaluate densities.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffcore import Tensor, needs_grad, record
+from .diffcore import Tensor
 from .diffcore.tensor import checked_exp
 from .errors import ShapeMismatchError
 from .gauss import standard_normal_logpdf
@@ -84,24 +84,6 @@ class Mlp:
                 w = rng.normal((fan_in, fan_out)) * np.sqrt(2.0 / (fan_in + fan_out))
             self.weights.append(Tensor(w, requires_grad=True))
             self.biases.append(Tensor(np.zeros(fan_out), requires_grad=True))
-
-    def __call__(self, x: Tensor) -> Tensor:
-        """One tape node over (x, *weights, *biases)."""
-        if x.shape[-1] != self.spec.widths[0]:
-            raise ShapeMismatchError(
-                f"mlp input width {x.shape[-1]} vs expected {self.spec.widths[0]}"
-            )
-        params = (*self.weights, *self.biases)
-        parents = (x, *params)
-        keep = needs_grad(parents)
-        out, cache = self.forward_arrays(x.data, keep)
-
-        def pull(g):
-            want_params = any(p.requires_grad for p in params)
-            gx, gw, gb = self.pull_arrays(cache, g, want_params, x.requires_grad)
-            return (gx, *gw, *gb)
-
-        return record(out, parents, pull)
 
     def forward_arrays(self, x: np.ndarray, keep: bool):
         """Array forward pass: returns (out, cache).
@@ -172,18 +154,15 @@ class EnergyFunction:
             rng,
         )
 
-    def _check_width(self, z) -> None:
-        if z.shape[-1] != self.nz:
-            raise ShapeMismatchError(f"energy input width {z.shape[-1]} vs nz {self.nz}")
-
-    def __call__(self, z: Tensor) -> Tensor:
-        self._check_width(z)
-        return self.mlp(z)
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        """The energy at the rows ``z`` off the tape, shape (B, 1)."""
+        return self.forward_arrays(z)[0]
 
     def forward_arrays(self, z: np.ndarray, keep: bool = False):
         """The energy at the rows ``z`` off the tape: (values (B, 1), cache),
         as ``Mlp.forward_arrays``."""
-        self._check_width(z)
+        if z.shape[-1] != self.nz:
+            raise ShapeMismatchError(f"energy input width {z.shape[-1]} vs nz {self.nz}")
         return self.mlp.forward_arrays(z, keep)
 
     def parameters(self):

@@ -8,9 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffcore import Tensor, no_grad
 from .diffcore.tensor import stable_sigmoid
-from .errors import ShapeMismatchError
+from .errors import DomainError, ShapeMismatchError
 from .metrics import logsumexp, map_row_blocks
 from .models import EnergyFunction, FlowSampler, VaeModel, flow_terms
 from .rng import Rng
@@ -125,6 +124,7 @@ def generate(vae: VaeModel, latents: np.ndarray) -> np.ndarray:
     latents = np.asarray(latents, dtype=np.float64)
     if latents.shape[-1] != vae.nz:
         raise ShapeMismatchError(f"latent width {latents.shape[-1]} vs nz {vae.nz}")
-    with no_grad():
-        out = vae.decoder(Tensor(latents)).data
+    if not np.all(np.isfinite(latents)):
+        raise DomainError("latents must be finite")
+    out = vae.decoder.forward_arrays(latents, False)[0]
     return stable_sigmoid(out) if vae.obs_model == "bernoulli" else out

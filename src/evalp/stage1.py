@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffcore import Adam, Tensor, backward, needs_grad, record
+from .diffcore import Adam, backward, needs_grad, record
 from .diffcore.tensor import checked_exp
 from .errors import (
     ConfigError,
@@ -61,14 +61,15 @@ def _posterior_sample(m: VaeModel, enc: np.ndarray, eps: np.ndarray):
     return mu, logvar, std, mu + std * eps
 
 
-def elbo_loss(m: VaeModel, x: Tensor, kl_weight: float, eps: Tensor):
+def elbo_loss(m: VaeModel, x: np.ndarray, kl_weight: float, eps: np.ndarray):
     """Negative ELBO with a weighted KL term, as one tape node over the
     model's weights and biases.
 
-    Returns (total, recon, kl): the scalar tensor total = -(recon -
-    kl_weight * kl), and as floats recon, the mean per-row observation
-    log-likelihood, and kl, the mean per-row KL(q(z|x) || N(0, I)). The
-    Gaussian observation model has unit variance around the decoded mean;
+    ``x`` holds the data rows and ``eps`` the reparameterization's
+    standard-normal noise, as arrays. Returns (total, recon, kl): the
+    scalar tensor total = -(recon - kl_weight * kl), and as floats recon,
+    the mean per-row observation log-likelihood, and kl, the mean per-row
+    KL(q(z|x) || N(0, I)). The Gaussian observation model has unit variance around the decoded mean;
     the Bernoulli one reads the decoder output as logits. The log-variance
     is clipped to [LOGVAR_MIN, LOGVAR_MAX], and each row's KL at 0 (the
     closed form can round to a tiny negative near its optimum); no
@@ -77,7 +78,6 @@ def elbo_loss(m: VaeModel, x: Tensor, kl_weight: float, eps: Tensor):
     """
     if kl_weight < 0:
         raise ValueError(f"kl_weight must be >= 0, got {kl_weight}")
-    x, eps = x.data, eps.data
     if x.shape[-1] != m.data_dim or eps.shape != (x.shape[0], m.nz):
         raise ShapeMismatchError(
             f"elbo_loss: x {x.shape}, eps {eps.shape} vs data_dim {m.data_dim}, nz {m.nz}"
@@ -163,7 +163,7 @@ def train_vae(data: np.ndarray, cfg: Stage1Config):
             eps = eps_rng.normal((xb.shape[0], cfg.nz))
             opt.zero_grad()
             try:
-                total, recon, kl = elbo_loss(model, Tensor(xb), cfg.kl_weight, Tensor(eps))
+                total, recon, kl = elbo_loss(model, xb, cfg.kl_weight, eps)
                 backward(total)
                 opt.step()
             except (NonFiniteError, DomainError) as e:

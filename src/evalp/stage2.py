@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diffcore import Adam, Tensor, backward, needs_grad, record
+from .diffcore.tensor import stable_sigmoid
 from .errors import DomainError, NonFiniteError, ShapeMismatchError, TrainingDivergedError
 from .models import EnergyFunction, FlowSampler, default_sizes, energy_input_grad, flow_terms
 from .rng import Rng
@@ -263,11 +264,35 @@ def train_prior(vae, data, cfg: Stage2Config):
 # ---------------------------------------------------------------------------
 
 
+def _softplus(x):
+    """log(1 + e^x) = max(x, 0) + log1p(e^{-|x|}), overflow-safe."""
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
 def nce_loss(clf: EnergyFunction, z_q: np.ndarray, z_p: np.ndarray) -> Tensor:
-    """Balanced logistic loss; the optimal logit is log(q_agg / p_0)."""
-    logit_q = clf(Tensor(z_q))
-    logit_p = clf(Tensor(z_p))
-    return ((-logit_q).softplus().mean() + logit_p.softplus().mean()) * 0.5
+    """Balanced logistic loss (mean softplus(-logit) over the q rows plus
+    mean softplus(logit) over the p rows, halved), as one tape node over the
+    classifier's weights and biases; the optimal logit is log(q_agg / p_0).
+    The pull runs back through both classifier passes.
+    """
+    mlp = clf.mlp
+    params = (*mlp.weights, *mlp.biases)
+    keep = needs_grad(params)
+    logit_q, cache_q = clf.forward_arrays(z_q, keep)
+    logit_p, cache_p = clf.forward_arrays(z_p, keep)
+    loss = (_softplus(-logit_q).mean() + _softplus(logit_p).mean()) * 0.5
+    if not np.isfinite(loss):
+        raise NonFiniteError(f"nce_loss is not finite ({loss})")
+
+    def pull(grad):
+        # d softplus(x) / dx = sigmoid(x); the q term's logit enters negated.
+        g_q = -(grad * 0.5 / logit_q.size * stable_sigmoid(-logit_q))
+        g_p = grad * 0.5 / logit_p.size * stable_sigmoid(logit_p)
+        _, gw_q, gb_q = mlp.pull_arrays(cache_q, g_q, x_grad=False)
+        _, gw_p, gb_p = mlp.pull_arrays(cache_p, g_p, x_grad=False)
+        return [a + b for a, b in zip(gw_q + gb_q, gw_p + gb_p)]
+
+    return record(np.asarray(loss), params, pull)
 
 
 def train_nce_ratio_baseline(vae, data, cfg: Stage2Config):
@@ -291,11 +316,12 @@ def train_nce_ratio_baseline(vae, data, cfg: Stage2Config):
             z_q = sample_q(cfg.batch_size)
             z_p = noise_rng.normal((cfg.batch_size, vae.nz))
             opt.zero_grad()
-            loss = nce_loss(clf, z_q, z_p)
-            if not np.isfinite(loss.data):
-                raise TrainingDivergedError(f"NCE loss diverged ({loss.data})")
-            backward(loss)
-            opt.step()
+            try:
+                loss = nce_loss(clf, z_q, z_p)
+                backward(loss)
+                opt.step()
+            except NonFiniteError as e:
+                raise TrainingDivergedError(f"NCE training diverged: {e}") from e
             loss_sum += loss.item()
         history.append({"epoch": epoch, "loss": loss_sum / iters})
     return clf, history

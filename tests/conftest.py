@@ -2,11 +2,14 @@
 
 Tests marked ``@pytest.mark.criterion(num, title)`` get one PASS/FAIL
 line each in the terminal summary, so the acceptance gate reads as a
-checklist.
+checklist. Importing ``per_op`` binds the tensor operators every test
+module may use.
 """
 
 import numpy as np
 import pytest
+
+import per_op  # noqa: F401
 
 _CRITERIA = {}
 

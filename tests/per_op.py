@@ -1,13 +1,20 @@
 """Per-op reference routes of the fused nodes, the tape ops only tests
 use, and the per-parameter Adam update; the package does not use them.
 
-``matmul``, ``transpose``, ``exp``, ``clip``, ``sigmoid``, ``sqrt``,
-``tslice`` and the activations record one node each through
-``evalp.diffcore.record``. Each module function, the diagonal-Gaussian
-ELBO pieces under ``elbo_loss``, and the stage-2 ``critic_loss`` (with its
-``gradient_penalty``) and ``sampler_loss``, computes what a fused node or
-step computes through these generic ops, one node per op. ``adam_step`` is the textbook update on one array
-per parameter, which the flat, in-place ``Adam`` must equal bitwise.
+Every op records one node through ``evalp.diffcore.record``: the
+elementwise ``add``, ``sub``, ``mul``, ``neg``, ``softplus`` and
+``square`` (which broadcast like NumPy), the reductions ``tsum`` and
+``tmean``, and ``matmul``, ``transpose``, ``exp``, ``clip``, ``sigmoid``,
+``sqrt``, ``tslice`` and the activations. Importing this module binds
+``+``, ``-``, ``*``, unary ``-``, ``softplus()``, ``square()``, ``sum()``
+and ``mean()`` onto ``Tensor``, with scalars and arrays wrapped as
+constants; ``conftest.py`` imports it, so every test can write tensor
+expressions. Each module function, the diagonal-Gaussian ELBO pieces
+under ``elbo_loss``, the stage-2 ``critic_loss`` (with its
+``gradient_penalty``) and ``sampler_loss``, and the NCE baseline's
+``nce_loss`` compute what a fused node or step computes through these
+generic ops, one node per op. ``adam_step`` is the textbook update on one
+array per parameter, which the flat, in-place ``Adam`` must equal bitwise.
 """
 
 from dataclasses import dataclass
@@ -20,6 +27,113 @@ from evalp.diffcore.tensor import checked_exp, stable_sigmoid
 from evalp.errors import DomainError, NonFiniteError, ShapeMismatchError
 from evalp.gauss import LOG_2PI, LOGVAR_MAX, LOGVAR_MIN
 from evalp.rng import Rng
+
+
+def _as_tensor(x):
+    return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _unbroadcast(grad, shape):
+    """Sum-reduce a broadcast gradient back to the original shape."""
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad
+
+
+def _check_broadcast(a, b, kind):
+    try:
+        return np.broadcast_shapes(a.data.shape, b.data.shape)
+    except ValueError:
+        raise ShapeMismatchError(
+            f"{kind}: shapes {a.data.shape} and {b.data.shape} do not broadcast"
+        ) from None
+
+
+def add(a, b):
+    a, b = _as_tensor(a), _as_tensor(b)
+    _check_broadcast(a, b, "add")
+
+    def pull(g):
+        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+
+    return record(a.data + b.data, (a, b), pull)
+
+
+def sub(a, b):
+    a, b = _as_tensor(a), _as_tensor(b)
+    _check_broadcast(a, b, "sub")
+
+    def pull(g):
+        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
+
+    return record(a.data - b.data, (a, b), pull)
+
+
+def mul(a, b):
+    a, b = _as_tensor(a), _as_tensor(b)
+    _check_broadcast(a, b, "mul")
+
+    def pull(g):
+        return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
+
+    return record(a.data * b.data, (a, b), pull)
+
+
+def neg(a):
+    a = _as_tensor(a)
+    return record(-a.data, (a,), lambda g: (-g,))
+
+
+def softplus(a):
+    a = _as_tensor(a)
+    # log(1 + e^x) = max(x, 0) + log1p(e^{-|x|}), overflow-safe.
+    val = np.maximum(a.data, 0.0) + np.log1p(np.exp(-np.abs(a.data)))
+    return record(val, (a,), lambda g: (g * stable_sigmoid(a.data),))
+
+
+def square(a):
+    a = _as_tensor(a)
+    return record(a.data * a.data, (a,), lambda g: (g * 2.0 * a.data,))
+
+
+def tsum(a, axis=None):
+    a = _as_tensor(a)
+
+    def pull(g):
+        if axis is None:
+            return (np.broadcast_to(g, a.data.shape),)
+        return (np.broadcast_to(np.expand_dims(g, axis), a.data.shape),)
+
+    return record(a.data.sum(axis=axis), (a,), pull)
+
+
+def tmean(a, axis=None):
+    a = _as_tensor(a)
+    count = a.data.size if axis is None else a.data.shape[axis]
+
+    def pull(g):
+        if axis is None:
+            return (np.broadcast_to(g / count, a.data.shape),)
+        return (np.broadcast_to(np.expand_dims(g, axis) / count, a.data.shape),)
+
+    return record(a.data.mean(axis=axis), (a,), pull)
+
+
+Tensor.__add__ = add
+Tensor.__radd__ = lambda self, other: add(other, self)
+Tensor.__sub__ = sub
+Tensor.__rsub__ = lambda self, other: sub(other, self)
+Tensor.__mul__ = mul
+Tensor.__rmul__ = lambda self, other: mul(other, self)
+Tensor.__neg__ = neg
+Tensor.softplus = softplus
+Tensor.square = square
+Tensor.sum = tsum
+Tensor.mean = tmean
 
 
 def matmul(a, b):
@@ -214,6 +328,13 @@ def critic_loss(f, g, z_q, lambda_gp, seed):
     return gap + gp * lambda_gp, e_q_f.item(), gp.item()
 
 
+def nce_loss(clf, z_q, z_p):
+    """The NCE baseline's balanced logistic loss, one node per op."""
+    logit_q = mlp(clf.mlp, Tensor(z_q))
+    logit_p = mlp(clf.mlp, Tensor(z_p))
+    return ((-logit_q).softplus().mean() + logit_p.softplus().mean()) * 0.5
+
+
 @dataclass
 class DiagGaussian:
     """Mean / log-variance pair; logvar is clamped to [-10, 10] on use."""
@@ -249,7 +370,7 @@ def reparameterize(g: DiagGaussian, eps: Tensor) -> Tensor:
 
 
 def vae_encode(m, x):
-    out = m.encoder(x)
+    out = mlp(m.encoder, x)
     return DiagGaussian(tslice(out, 1, 0, m.nz), tslice(out, 1, m.nz, 2 * m.nz))
 
 
@@ -267,7 +388,7 @@ def observation_log_lik(m, params, x):
 def elbo_loss(m, x, kl_weight, eps):
     """(total, recon, kl) tensors of the negative ELBO, one node per op."""
     post = vae_encode(m, x)
-    decoded = m.decoder(reparameterize(post, eps))
+    decoded = mlp(m.decoder, reparameterize(post, eps))
     recon = observation_log_lik(m, decoded, x).mean()
     kl = kl_to_standard(post).mean()
     total = -(recon - kl * kl_weight)

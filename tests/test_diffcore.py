@@ -1,17 +1,17 @@
 """Engine tests: op semantics, reverse-mode gradients vs central finite
-differences, gradient accumulation, and the Adam update. The package's ops
-are checked together with the ``per_op`` ones built on ``record``."""
+differences, gradient accumulation, and the Adam update, for the ``per_op``
+ops that the tests build on ``record``."""
 
 import numpy as np
 import pytest
 
 import per_op
 from evalp.diffcore import Adam, Tensor, active_tape, backward, clear_tape, no_grad
-from evalp.diffcore import tensor as ops
 from evalp.errors import NonFiniteError, ShapeMismatchError
 from evalp.models import LEAKY_SLOPE, Mlp, MlpSpec
 from evalp.rng import Rng
 from oracles import gradcheck
+from test_models import mlp_node
 
 
 class TestForwardOps:
@@ -39,7 +39,7 @@ class TestForwardOps:
             layer.weights[0].data = one
             col, g_col = x.reshape(-1, 1), g.reshape(-1, 1)
             t = Tensor(col, requires_grad=True)
-            out = layer(t)
+            out = mlp_node(layer, t)
             backward((out * Tensor(g_col)).sum())
             h = col @ one + 0.0
             want = np.where(h > 0.0, h, slope * h)
@@ -57,12 +57,12 @@ class TestForwardOps:
         np.testing.assert_array_equal(out.data, [[3.0], [4.0]])
 
     def test_sum_of_squares(self):
-        out = ops.tsum(ops.square(Tensor([1.0, 2.0])))
+        out = per_op.tsum(per_op.square(Tensor([1.0, 2.0])))
         assert out.item() == 5.0
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeMismatchError, match=r"\(2, 3\).*\(4, 2\)"):
-            ops.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
+            per_op.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
         with pytest.raises(ShapeMismatchError, match=r"\(2, 3\).*\(2, 3\)"):
             per_op.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
@@ -127,22 +127,22 @@ def _away_from_kinks(rng, shape, margin=0.05):
 def _op_cases(rng):
     m = lambda shape: _away_from_kinks(rng, shape)
     return {
-        ops.add: ([Tensor(m((3, 2))), Tensor(m((2,)))], {}),
-        ops.sub: ([Tensor(m((3, 2))), Tensor(m((3, 2)))], {}),
-        ops.mul: ([Tensor(m((3, 2))), Tensor(m((2,)))], {}),
+        per_op.add: ([Tensor(m((3, 2))), Tensor(m((2,)))], {}),
+        per_op.sub: ([Tensor(m((3, 2))), Tensor(m((3, 2)))], {}),
+        per_op.mul: ([Tensor(m((3, 2))), Tensor(m((2,)))], {}),
         per_op.matmul: ([Tensor(m((3, 4))), Tensor(m((4, 2)))], {}),
-        ops.neg: ([Tensor(m((3, 2)))], {}),
+        per_op.neg: ([Tensor(m((3, 2)))], {}),
         per_op.exp: ([Tensor(m((3, 2)) * 0.5)], {}),
         per_op.tanh: ([Tensor(m((3, 2)))], {}),
         per_op.relu: ([Tensor(m((3, 2)))], {}),
         per_op.leaky_relu: ([Tensor(m((3, 2)))], {"slope": 0.01}),
-        ops.softplus: ([Tensor(m((3, 2)))], {}),
+        per_op.softplus: ([Tensor(m((3, 2)))], {}),
         per_op.sigmoid: ([Tensor(m((3, 2)))], {}),
-        ops.square: ([Tensor(m((3, 2)))], {}),
+        per_op.square: ([Tensor(m((3, 2)))], {}),
         per_op.sqrt: ([Tensor(np.abs(m((3, 2))) + 0.5)], {}),
         per_op.clip: ([Tensor(m((3, 2)) * 0.3)], {"lo": -1.0, "hi": 1.0}),
-        ops.tsum: ([Tensor(m((3, 2)))], {"axis": 1}),
-        ops.tmean: ([Tensor(m((3, 2)))], {"axis": 0}),
+        per_op.tsum: ([Tensor(m((3, 2)))], {"axis": 1}),
+        per_op.tmean: ([Tensor(m((3, 2)))], {"axis": 0}),
         per_op.tslice: ([Tensor(m((3, 4)))], {"axis": 1, "start": 1, "stop": 3}),
         per_op.transpose: ([Tensor(m((3, 2)))], {}),
     }
@@ -162,7 +162,7 @@ class TestGradients:
     def test_gradcheck_random_mlp_head(self, rng):
         net = Mlp(MlpSpec((3, 8, 8, 1), ("tanh", "tanh", "none")), rng)
         x = Tensor(rng.normal((5, 3)))
-        err = gradcheck(lambda *ps: net(x).mean(), net.parameters())
+        err = gradcheck(lambda *ps: mlp_node(net, x).mean(), net.parameters())
         assert err < 1e-5
 
 

@@ -1,12 +1,13 @@
 """Fused nodes against their per-op routes (``per_op.py``).
 
-``Mlp.__call__``, the stage-1 ``elbo_loss`` and the stage-2
-``critic_loss`` and ``sampler_loss`` record one tape node with a
-closed-form pull; ``FlowSampler.forward`` with ``pull_forward`` and
-``energy_input_grad`` with its pull are recorded as one node here
-(``test_models.flow_node``, ``energy_input_grad_node``). Their outputs and
-every input and parameter gradient must equal the per-op route bitwise;
-each node passes ``gradcheck``; the off-tape flow passes and
+The stage-1 ``elbo_loss``, the stage-2 ``critic_loss`` and
+``sampler_loss``, and the NCE baseline's ``nce_loss`` record one tape node
+with a closed-form pull; an ``Mlp`` pass with ``pull_arrays``,
+``FlowSampler.forward`` with ``pull_forward`` and ``energy_input_grad``
+with its pull are recorded as one node here (``test_models.mlp_node``,
+``flow_node``, ``energy_input_grad_node``). Their outputs and every input
+and parameter gradient must equal the per-op route bitwise; each node
+passes ``gradcheck``; the off-tape flow passes and
 ``aggregate_posterior_sample`` equal the per-op values bitwise; overflow
 still raises ``DomainError``; nothing is recorded outside the tape; a
 training step records one node; and the flat Adam equals the
@@ -20,7 +21,7 @@ import per_op
 import evalp.stage1 as stage1
 import evalp.stage2 as stage2
 from evalp.diffcore import Adam, Tensor, active_tape, backward, clear_tape, no_grad
-from evalp.errors import DomainError, NonFiniteError, ShapeMismatchError
+from evalp.errors import DomainError, NonFiniteError, ShapeMismatchError, TrainingDivergedError
 from evalp.models import (
     EnergyFunction,
     FlowSampler,
@@ -31,7 +32,7 @@ from evalp.models import (
 )
 from evalp.rng import Rng
 from oracles import gradcheck
-from test_models import energy_input_grad_node, flow_node, perturbed_flow
+from test_models import energy_input_grad_node, flow_node, mlp_node, perturbed_flow
 
 
 def _bits(a):
@@ -96,7 +97,7 @@ class TestMlpNode:
         params = net.parameters()
         names = ["x"] + [n for n, _ in net.named_parameters()]
         _compare(
-            lambda: [net(x)], lambda: [per_op.mlp(net, x)], [x, *params], [probe], names
+            lambda: [mlp_node(net, x)], lambda: [per_op.mlp(net, x)], [x, *params], [probe], names
         )
 
     def test_input_only_and_params_only(self, rng):
@@ -104,10 +105,12 @@ class TestMlpNode:
         probe = rng.normal((6, 2))
         frozen = _constant_copy(net)
         x = Tensor(rng.normal((6, 3)), requires_grad=True)
-        _compare(lambda: [frozen(x)], lambda: [per_op.mlp(frozen, x)], [x], [probe], ["x"])
+        _compare(
+            lambda: [mlp_node(frozen, x)], lambda: [per_op.mlp(frozen, x)], [x], [probe], ["x"]
+        )
         const = Tensor(rng.normal((6, 3)))
         _compare(
-            lambda: [net(const)],
+            lambda: [mlp_node(net, const)],
             lambda: [per_op.mlp(net, const)],
             net.parameters(),
             [probe],
@@ -119,13 +122,13 @@ class TestMlpNode:
         net = Mlp(MlpSpec((3, 6, 6, 2), (act, act, "none")), rng)
         x = Tensor(rng.normal((5, 3)))
         probe = rng.normal((5, 2))
-        err = gradcheck(lambda x, *ps: (net(x) * probe).sum(), [x, *net.parameters()])
+        err = gradcheck(lambda x, *ps: (mlp_node(net, x) * probe).sum(), [x, *net.parameters()])
         assert err < 1e-5, f"{act}: relative error {err}"
 
     def test_one_node_per_call(self, rng):
         net = Mlp(MlpSpec((3, 8, 8, 2), ("relu", "tanh", "none")), rng)
         clear_tape()
-        net(Tensor(rng.normal((4, 3))))
+        mlp_node(net, Tensor(rng.normal((4, 3))))
         assert len(active_tape()) == 1
         clear_tape()
 
@@ -243,7 +246,7 @@ def _vae(obs_model, batch, seed, hidden=(16, 12)):
 
 def _elbo_routes(m, x, kl_weight, eps):
     """The fused and per-op ELBO routes as ``_compare`` takes them."""
-    fused = lambda: [stage1.elbo_loss(m, Tensor(x), kl_weight, Tensor(eps))[0]]
+    fused = lambda: [stage1.elbo_loss(m, x, kl_weight, eps)[0]]
     reference = lambda: [per_op.elbo_loss(m, Tensor(x), kl_weight, Tensor(eps))[0]]
     return fused, reference, m.parameters(), [np.ones(())], [n for n, _ in m.named_parameters()]
 
@@ -255,7 +258,7 @@ class TestElboNode:
     def test_matches_per_op_bitwise(self, obs_model, batch, kl_weight):
         m, x, eps = _vae(obs_model, batch, batch)
         _compare(*_elbo_routes(m, x, kl_weight, eps))
-        _, recon, kl = stage1.elbo_loss(m, Tensor(x), kl_weight, Tensor(eps))
+        _, recon, kl = stage1.elbo_loss(m, x, kl_weight, eps)
         with no_grad():
             _, want_recon, want_kl = per_op.elbo_loss(m, Tensor(x), kl_weight, Tensor(eps))
         assert type(recon) is float and type(kl) is float
@@ -265,7 +268,7 @@ class TestElboNode:
     @pytest.mark.parametrize("obs_model", ["gaussian", "bernoulli"])
     def test_gradcheck(self, obs_model):
         m, x, eps = _vae(obs_model, 5, 3, hidden=(6,))
-        loss = lambda *ps: stage1.elbo_loss(m, Tensor(x), 1.5, Tensor(eps))[0]
+        loss = lambda *ps: stage1.elbo_loss(m, x, 1.5, eps)[0]
         assert gradcheck(loss, m.parameters()) < 1e-5
 
     def test_log_variance_clip_edges(self):
@@ -285,7 +288,7 @@ class TestElboNode:
         _compare(*_elbo_routes(m, x, 1.0, eps))
         for p in m.parameters():
             p.grad = None
-        backward(stage1.elbo_loss(m, Tensor(x), 1.0, Tensor(eps))[0])
+        backward(stage1.elbo_loss(m, x, 1.0, eps)[0])
         assert np.all(b.grad[3:5] != 0.0) and b.grad[5] == 0.0
         assert np.all(w.grad[:, 5] == 0.0)
 
@@ -301,7 +304,7 @@ class TestElboNode:
             _compare(*_elbo_routes(m, x, kl_weight, eps))
         grads = []
         for kl_weight in (0.0, 2.5):
-            total, _, kl = stage1.elbo_loss(m, Tensor(x), kl_weight, Tensor(eps))
+            total, _, kl = stage1.elbo_loss(m, x, kl_weight, eps)
             assert kl == 0.0
             for p in m.parameters():
                 p.grad = None
@@ -347,11 +350,11 @@ class TestElboNode:
         m, x, eps = _vae("bernoulli", 4, 5)
         clear_tape()
         with no_grad():
-            total, _, _ = stage1.elbo_loss(m, Tensor(x), 1.0, Tensor(eps))
+            total, _, _ = stage1.elbo_loss(m, x, 1.0, eps)
         stage1.aggregate_posterior_sample(m, x, 10, seed=0)
         assert len(active_tape()) == 0 and not total.requires_grad
         assert keeps == [False] * 3
-        stage1.elbo_loss(m, Tensor(x), 1.0, Tensor(eps))
+        stage1.elbo_loss(m, x, 1.0, eps)
         assert keeps[-2:] == [True, True] and len(active_tape()) == 1
         clear_tape()
 
@@ -361,15 +364,15 @@ class TestElboNode:
         m.decoder.biases[-1].data = np.full(5, 1e200)
         clear_tape()
         with pytest.raises(NonFiniteError, match="elbo_loss is not finite"):
-            stage1.elbo_loss(m, Tensor(x), 1.0, Tensor(eps))
+            stage1.elbo_loss(m, x, 1.0, eps)
         assert len(active_tape()) == 0
 
     def test_shape_mismatch(self):
         m, x, eps = _vae("gaussian", 4, 7)
         with pytest.raises(ShapeMismatchError, match="eps"):
-            stage1.elbo_loss(m, Tensor(x), 1.0, Tensor(eps[:, :2]))
+            stage1.elbo_loss(m, x, 1.0, eps[:, :2])
         with pytest.raises(ShapeMismatchError, match="data_dim"):
-            stage1.elbo_loss(m, Tensor(x[:, :4]), 1.0, Tensor(eps))
+            stage1.elbo_loss(m, x[:, :4], 1.0, eps)
 
 
 class TestNothingRecordedOffTape:
@@ -380,8 +383,8 @@ class TestNothingRecordedOffTape:
         x = Tensor(rng.normal((4, 2)), requires_grad=True)
         clear_tape()
         with no_grad():
-            outs = [net(x), f(x), energy_input_grad_node(f, x.data)]
-            g.forward(x.data), g.inverse(x.data)
+            outs = [mlp_node(net, x), energy_input_grad_node(f, x.data)]
+            f(x.data), g.forward(x.data), g.inverse(x.data)
         assert len(active_tape()) == 0
         assert not any(o.requires_grad for o in outs)
 
@@ -399,7 +402,7 @@ class TestNothingRecordedOffTape:
     def test_no_parent_requiring_grad_records_nothing(self, rng):
         net = _constant_copy(Mlp(MlpSpec((2, 8, 2), ("relu", "none")), rng))
         clear_tape()
-        out = net(Tensor(rng.normal((4, 2))))
+        out = mlp_node(net, Tensor(rng.normal((4, 2))))
         assert len(active_tape()) == 0 and not out.requires_grad
 
     def test_off_tape_passes_build_no_cache(self, rng, monkeypatch):
@@ -416,12 +419,13 @@ class TestNothingRecordedOffTape:
         net = Mlp(MlpSpec((2, 8, 2), ("leaky_relu", "none")), rng)
         g = perturbed_flow(2, 8, 2, seed=0)
         x = Tensor(rng.normal((4, 2)), requires_grad=True)
+        f = EnergyFunction(2, 8, rng)
         with no_grad():
-            net(x)
-        g.forward(x.data), g.inverse(x.data)
-        _constant_copy(net)(Tensor(x.data))
+            mlp_node(net, x)
+        g.forward(x.data), g.inverse(x.data), f(x.data)
+        mlp_node(_constant_copy(net), Tensor(x.data))
         assert keeps and not any(keeps)
-        net(x)
+        mlp_node(net, x)
         assert keeps[-1]
         clear_tape()
 
@@ -557,6 +561,73 @@ class TestStage2TapeLength:
         cfg = stage2.Stage2Config(epochs=1, batch_size=self.BATCH, seed=5)
         stage2.train_tilted_prior(lambda n: draws.normal((n, self.NZ)), self.NZ, cfg, 1)
         assert counts == [1] * (cfg.critic_steps_per_sampler + 1)
+
+
+class TestNceNode:
+    @staticmethod
+    def _batches(nz, batch):
+        # q rows off centre, so the logits take both signs.
+        rng = Rng(batch + 70)
+        return rng.normal((batch, nz)) * 2.0 + 0.5, rng.normal((batch, nz))
+
+    @pytest.mark.parametrize("nz", [2, 16])
+    @pytest.mark.parametrize("batch", [1, 7, 100])
+    def test_matches_per_op_bitwise(self, nz, batch):
+        f, _ = _stage2_models(nz, batch)
+        z_q, z_p = self._batches(nz, batch)
+        _compare(
+            lambda: [stage2.nce_loss(f, z_q, z_p)],
+            lambda: [per_op.nce_loss(f, z_q, z_p)],
+            f.parameters(),
+            [np.ones(())],
+            [n for n, _ in f.named_parameters()],
+        )
+
+    def test_gradcheck(self, rng):
+        f = EnergyFunction(2, 8, rng)
+        z_q, z_p = self._batches(2, 6)
+        assert gradcheck(lambda *ps: stage2.nce_loss(f, z_q, z_p), f.parameters()) < 1e-5
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_checks_raise_before_recording(self, rng):
+        f = EnergyFunction(2, 8, rng)
+        z_q, z_p = self._batches(2, 4)
+        clear_tape()
+        with pytest.raises(ShapeMismatchError, match="width 3 vs nz 2"):
+            stage2.nce_loss(f, rng.normal((4, 3)), z_p)
+        f.mlp.weights[-1].data = np.full((8, 1), 1e308)
+        with pytest.raises(NonFiniteError, match="nce_loss is not finite"):
+            stage2.nce_loss(f, z_q, z_p)
+        assert len(active_tape()) == 0
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_non_finite_loss_ends_training_as_divergence(self, monkeypatch, ring_data):
+        original = stage2.nce_loss
+
+        def exploding(clf, z_q, z_p):
+            clf.mlp.weights[-1].data = np.full_like(clf.mlp.weights[-1].data, 1e308)
+            return original(clf, z_q, z_p)
+
+        monkeypatch.setattr(stage2, "nce_loss", exploding)
+        vae = VaeModel(2, 2, hidden=(8,), rng=Rng(0))
+        cfg = stage2.Stage2Config(epochs=1, batch_size=100, seed=1)
+        with pytest.raises(TrainingDivergedError, match="nce_loss is not finite"):
+            stage2.train_nce_ratio_baseline(vae, ring_data, cfg)
+        clear_tape()
+
+    def test_one_node_per_training_step(self, monkeypatch, ring_data):
+        counts = []
+        original = stage2.backward
+
+        def counting(root):
+            counts.append(len(active_tape()))
+            original(root)
+
+        monkeypatch.setattr(stage2, "backward", counting)
+        vae = VaeModel(2, 2, hidden=(8,), rng=Rng(0))
+        cfg = stage2.Stage2Config(epochs=2, batch_size=100, seed=1)
+        stage2.train_nce_ratio_baseline(vae, ring_data, cfg)
+        assert counts == [1] * (cfg.epochs * (len(ring_data) // cfg.batch_size))
 
 
 class TestFlatAdam:

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from evalp.diffcore import Tensor, backward, no_grad, record
+from evalp.diffcore import Tensor, backward, needs_grad, record
 from evalp.errors import ShapeMismatchError
 from evalp.gauss import standard_normal_logpdf
 from evalp.metrics import GridSpec
@@ -20,7 +20,7 @@ from evalp.models import (
 )
 from evalp.rng import Rng
 from oracles import gradcheck
-from per_op import reparameterize, sqrt, tslice, vae_encode
+from per_op import mlp, reparameterize, sqrt, tslice, vae_encode
 
 GAUSSIAN_ENTROPY_2D = 2.8378770664093453  # (1 + ln 2*pi) per dimension
 
@@ -31,6 +31,25 @@ def perturbed_flow(nz, nh, n_layers, seed, scale=0.3):
     for p in g.parameters():
         p.data = p.data + rng.normal(p.data.shape) * scale
     return g
+
+
+def mlp_node(net, x):
+    """The ``Mlp`` pass and ``pull_arrays`` as one tape node over
+    (x, *weights, *biases)."""
+    if x.shape[-1] != net.spec.widths[0]:
+        raise ShapeMismatchError(
+            f"mlp input width {x.shape[-1]} vs expected {net.spec.widths[0]}"
+        )
+    params = (*net.weights, *net.biases)
+    parents = (x, *params)
+    out, cache = net.forward_arrays(x.data, needs_grad(parents))
+
+    def pull(g):
+        want_params = any(p.requires_grad for p in params)
+        gx, gw, gb = net.pull_arrays(cache, g, want_params, x.requires_grad)
+        return (gx, *gw, *gb)
+
+    return record(out, parents, pull)
 
 
 def energy_input_grad_node(f, z):
@@ -74,16 +93,16 @@ class TestEnergy:
     def test_zero_weights_output_bias(self):
         f = EnergyFunction(2, 8)
         f.mlp.biases[-1].data = np.array([0.7])
-        out = f(Tensor(np.random.default_rng(0).normal(size=(5, 2))))
-        np.testing.assert_allclose(out.data, 0.7)
+        out = f(np.random.default_rng(0).normal(size=(5, 2)))
+        np.testing.assert_allclose(out, 0.7)
 
     def test_batch_shape(self, rng):
         f = EnergyFunction(3, 16, rng)
-        assert f(Tensor(rng.normal((100, 3)))).shape == (100, 1)
+        assert f(rng.normal((100, 3))).shape == (100, 1)
 
     def test_width_mismatch(self, rng):
         with pytest.raises(ShapeMismatchError):
-            EnergyFunction(3, 16, rng)(Tensor(rng.normal((4, 2))))
+            EnergyFunction(3, 16, rng)(rng.normal((4, 2)))
         with pytest.raises(ShapeMismatchError, match="width 2 vs nz 3"):
             EnergyFunction(3, 16, rng).forward_arrays(rng.normal((4, 2)))
 
@@ -91,12 +110,13 @@ class TestEnergy:
         f = EnergyFunction(3, 16, rng)
         z = rng.normal((50, 3))
         out, _ = f.forward_arrays(z)
-        np.testing.assert_array_equal(out, f(Tensor(z)).data)
+        np.testing.assert_array_equal(out, f(z))
+        np.testing.assert_array_equal(out, mlp_node(f.mlp, Tensor(z)).data)
 
     def test_param_gradcheck(self, rng):
         f = EnergyFunction(2, 8, rng)
         z = Tensor(rng.normal((6, 2)))
-        err = gradcheck(lambda *ps: f(z).mean(), f.parameters())
+        err = gradcheck(lambda *ps: mlp_node(f.mlp, z).mean(), f.parameters())
         assert err < 1e-5
 
 
@@ -134,15 +154,14 @@ class TestEnergyInputGrad:
         z = rng.normal((5, 2))
         analytic, _ = energy_input_grad(f, z)
         h = 1e-5
-        with no_grad():
-            for i in range(5):
-                for j in range(2):
-                    zp, zm = z.copy(), z.copy()
-                    zp[i, j] += h
-                    zm[i, j] -= h
-                    numeric = (f(Tensor(zp)).data[i, 0] - f(Tensor(zm)).data[i, 0]) / (2 * h)
-                    rel = abs(analytic[i, j] - numeric) / max(1.0, abs(numeric))
-                    assert rel < 1e-5
+        for i in range(5):
+            for j in range(2):
+                zp, zm = z.copy(), z.copy()
+                zp[i, j] += h
+                zm[i, j] -= h
+                numeric = (f(zp)[i, 0] - f(zm)[i, 0]) / (2 * h)
+                rel = abs(analytic[i, j] - numeric) / max(1.0, abs(numeric))
+                assert rel < 1e-5
 
     def test_zero_hidden_weights_zero_gradient(self, rng):
         f = EnergyFunction(2, 8)
@@ -153,7 +172,7 @@ class TestEnergyInputGrad:
     def test_agrees_with_autodiff_route_at_100_points(self, rng):
         f = EnergyFunction(2, 32, rng)
         z = Tensor(rng.normal((100, 2)), requires_grad=True)
-        backward(f(z).sum())
+        backward(mlp(f.mlp, z).sum())
         analytic, _ = energy_input_grad(f, z.data)
         assert np.abs(analytic - z.grad).max() < 1e-10
 
@@ -259,7 +278,7 @@ class TestVae:
         post = vae_encode(m, x)
         assert post.mu.shape == (7, 2)
         z = Tensor(rng.normal((7, 2)))
-        assert m.decoder(z).shape == (7, 3)
+        assert mlp(m.decoder, z).shape == (7, 3)
 
     def test_zero_weight_encoder_outputs_bias(self, rng):
         m = VaeModel(3, 2, hidden=(8,))
@@ -275,7 +294,7 @@ class TestVae:
 
         def recon_loss(*ps):
             z = reparameterize(vae_encode(m, x), eps)
-            return (m.decoder(z) - x).square().sum(axis=-1).mean()
+            return (mlp(m.decoder, z) - x).square().sum(axis=-1).mean()
 
         assert gradcheck(recon_loss, m.parameters()) < 1e-5
 
@@ -298,4 +317,4 @@ class TestMlpSpec:
     def test_width_mismatch_error(self, rng):
         net = Mlp(MlpSpec((3, 2), ("none",)), rng)
         with pytest.raises(ShapeMismatchError):
-            net(Tensor(rng.normal((4, 5))))
+            mlp_node(net, Tensor(rng.normal((4, 5))))

@@ -2,7 +2,8 @@
 SciPy's log-sum-exp, tilted_base (the default) SIR against the 2-d
 quadrature oracle, the NFE counter against the rows actually evaluated,
 evaluation in row blocks against one block and on two threads against one,
-and the paper_literal picks against a reference that evaluates Z-hat."""
+the paper_literal picks against a reference that evaluates Z-hat, and
+decoding against the per-op route."""
 
 import tracemalloc
 
@@ -10,12 +11,14 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+import per_op
 from evalp import metrics
-from evalp.diffcore import Tensor, no_grad
+from evalp.diffcore import Tensor, active_tape, clear_tape, no_grad
+from evalp.errors import DomainError, ShapeMismatchError
 from evalp.metrics import default_grid
-from evalp.models import EnergyFunction, FlowSampler, Mlp, default_sizes, flow_terms
+from evalp.models import EnergyFunction, FlowSampler, Mlp, VaeModel, default_sizes, flow_terms
 from evalp.rng import Rng
-from evalp.sampling import SirConfig, resample, sample_fast, sample_sir_batch
+from evalp.sampling import SirConfig, generate, resample, sample_fast, sample_sir_batch
 from oracles import quadrature_expectation
 from tests.test_models import linear_region_energy, perturbed_flow
 
@@ -109,8 +112,7 @@ def _paper_literal_with_z_hat(f, g, cfg, count, n=200):
     m = cfg.proposals
     z, fz, _ = flow_terms(f, g, rng.normal((count * m, g.nz)))
     extra, _ = g.forward(Rng(cfg.seed + 1000).normal((count * n, g.nz)))
-    with no_grad():
-        f_extra = f(Tensor(extra)).data[:, 0].reshape(count, n)
+    f_extra = f(extra)[:, 0].reshape(count, n)
     log_z_hat = logsumexp(-f_extra, axis=1, keepdims=True) - np.log(n)
     picks = resample(-fz[:, 0].reshape(count, m) - log_z_hat, rng.uniform((count, 1)))
     return z.reshape(count, m, g.nz)[np.arange(count), picks]
@@ -177,3 +179,22 @@ def test_paper_literal_picks_equal_those_with_z_hat_evaluated(seed):
     cfg = SirConfig(proposals=300, seed=seed, weight_mode="paper_literal")
     got, _ = sample_sir_batch(f, g, cfg, 60)
     np.testing.assert_allclose(got, _paper_literal_with_z_hat(f, g, cfg, 60), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("obs_model", ["gaussian", "bernoulli"])
+def test_generate_decodes_off_the_tape_as_the_per_op_route(obs_model):
+    vae = VaeModel(5, 3, hidden=(16, 12), obs_model=obs_model, rng=Rng(3))
+    z = Rng(4).normal((20, 3))
+    clear_tape()
+    got = generate(vae, z)
+    assert len(active_tape()) == 0
+    with no_grad():
+        want = per_op.mlp(vae.decoder, Tensor(z))
+        if obs_model == "bernoulli":
+            want = per_op.sigmoid(want)
+    np.testing.assert_array_equal(got.view(np.int64), want.data.view(np.int64))
+    with pytest.raises(ShapeMismatchError, match="latent width 2 vs nz 3"):
+        generate(vae, z[:, :2])
+    z[1, 0] = np.nan
+    with pytest.raises(DomainError, match="finite"):
+        generate(vae, z)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from evalp import stage2
-from evalp.diffcore import Tensor, backward, clear_tape, no_grad
+from evalp.diffcore import backward, clear_tape
 from evalp.errors import ShapeMismatchError, TrainingDivergedError
 from evalp.gauss import LOG_2PI, standard_normal_logpdf
 from evalp.metrics import default_grid, quadrature_log_z
@@ -314,12 +314,7 @@ class TestTrainTiltedPrior:
         grid = default_grid(2, points=401)
         mesh = grid.mesh()
         log_z = quadrature_log_z(f, grid)
-        with no_grad():
-            tilted = np.exp(
-                -f(Tensor(mesh)).data[:, 0]
-                - 0.5 * ((mesh**2).sum(axis=1) + 2 * LOG_2PI)
-                - log_z
-            )
+        tilted = np.exp(-f(mesh)[:, 0] - 0.5 * ((mesh**2).sum(axis=1) + 2 * LOG_2PI) - log_z)
         target = np.exp(-0.5 * (((mesh - a) ** 2).sum(axis=1) + 2 * LOG_2PI))
         cell = (16.0 / 400) ** 2
         tv = 0.5 * np.abs(tilted - target).sum() * cell
@@ -354,8 +349,7 @@ class TestNceBaseline:
         vae = VaeModel(2, 2, hidden=(8,))  # q_agg = N(0, I) = noise class
         cfg = Stage2Config(epochs=40, batch_size=100, seed=6)
         clf, _ = train_nce_ratio_baseline(vae, ring_data, cfg)
-        with no_grad():
-            logits = clf(Tensor(rng.normal((500, 2)))).data
+        logits = clf(rng.normal((500, 2)))
         assert np.abs(logits).mean() < 0.1
 
     def test_shifted_gaussian_recovers_analytic_log_ratio(self, ring_data):
@@ -366,8 +360,7 @@ class TestNceBaseline:
         clf, _ = train_nce_ratio_baseline(vae, ring_data, cfg)
         xs = np.linspace(-1.0, 1.0, 9)
         grid = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
-        with no_grad():
-            learned = clf(Tensor(grid)).data[:, 0]
+        learned = clf(grid)[:, 0]
         analytic = 2.0 * grid[:, 0] - 2.0
         assert np.abs(learned - analytic).mean() < 0.2
 
