@@ -79,6 +79,13 @@ def _require(cfg: RunConfig, section: str):
     return value
 
 
+def _make_out_dir(out: Path) -> None:
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot create output directory {out}: {e}") from e
+
+
 def _build_dataset(cfg: RunConfig):
     seed = cfg.derived_seeds()["dataset"]
     try:
@@ -94,7 +101,7 @@ def _build_dataset(cfg: RunConfig):
 
 def run_train_vae(cfg: RunConfig, out: Path) -> dict:
     stage1 = _require(cfg, "stage1")
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out)
     dataset = _build_dataset(cfg)
     start = time.perf_counter()
     try:
@@ -151,7 +158,7 @@ def _export_density_grids(out: Path, vae, f, g, data, seeds):
 
 def run_train_prior(cfg: RunConfig, out: Path, vae_path: str) -> dict:
     stage2 = _require(cfg, "stage2")
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out)
     vae = load_vae(vae_path)
     dataset = _build_dataset(cfg)
     start = time.perf_counter()
@@ -200,7 +207,7 @@ def _load_models(vae_path, energy_path, flow_path):
 def run_sample(cfg: RunConfig, out: Path, vae_path, energy_path, flow_path, mode, count) -> dict:
     if count < 0:
         raise ConfigError(f"sample count must be >= 0, got {count}")
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out)
     vae, f, g = _load_models(vae_path, energy_path, flow_path)
     sir = cfg.sir or SirConfig(seed=cfg.derived_seeds()["sir"])
     start = time.perf_counter()
@@ -231,7 +238,7 @@ def run_sample(cfg: RunConfig, out: Path, vae_path, energy_path, flow_path, mode
 
 
 def run_eval(cfg: RunConfig, out: Path, vae_path, energy_path, flow_path, n_eval=1000) -> dict:
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out)
     vae, f, g = _load_models(vae_path, energy_path, flow_path)
     dataset = _build_dataset(cfg)
     if min(n_eval, len(dataset.samples)) <= dataset.dim:
@@ -346,7 +353,7 @@ def run_sweep_kl(cfg: RunConfig, out: Path, threads: int = 1) -> list[dict]:
     sweep = cfg.sweep
     if sweep is None or len(sweep.kl_weights) < 2:
         raise ConfigError("sweep-kl needs a 'sweep' section with at least 2 kl_weights")
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out)
     cells = [
         (cfg, w, cfg.seed + i, sweep.eval_samples)
         for w in sweep.kl_weights

@@ -1,10 +1,25 @@
 """Quantitative evaluation: MMD, a Frechet-Gaussian proxy for generation
 quality, grid-quadrature oracles for the tilted prior exp(-f) N(0, I), and
-2-d density grids for visualization. Grid values are computed in chunks of
-rows, so memory is bounded by the chunk, not the grid.
+2-d density grids for visualization.
 
-The module needs NumPy only. Its two numerical kernels reproduce SciPy's
-results bit for bit:
+Every evaluation works through blocks of rows, so memory is bounded by the
+block, not by the grid or the number of pairs. With B = BLOCK_ROWS and
+S = SCRATCH_ELEMS float64 values, beyond its inputs and outputs:
+
+- ``quadrature_log_z`` and ``density_grid``: the nodes of 8 blocks of B
+  and one block's values per worker thread, and one value per grid node,
+  the vector that ``logsumexp`` reads or the grid returned;
+- ``median_bandwidth``: a block of at most S pair distances (one row's
+  when a row has more pairs), a count per top-16-bit pattern (65536), and
+  the distances in the patterns that hold the middle ranks;
+- ``mmd_rbf``: the median's, then a block of at most S kernel entries plus
+  two rows;
+- ``qagg_log_kde``: KDE_SLICE_ROWS query rows against all draws;
+- ``sampling.generate``, ``sample_fast`` and SIR, through
+  ``map_row_blocks``: B rows of network activations per worker thread.
+
+The module needs NumPy only. Its numerical kernels reproduce SciPy's and
+NumPy's results bit for bit:
 
 - ``sq_distances`` sums (x_k - y_k)^2 over the columns in order, starting at
   column 0, as the loops of SciPy's ``cdist`` and ``pdist`` do.
@@ -13,6 +28,11 @@ results bit for bit:
   by m tied entries, and s the sum of exp(a - c) over the other entries, it
   is log1p(s / m) + log m + c. Where that is not finite (an infinite or NaN
   entry, or only -inf), it is log(sum(exp(a))).
+- ``_kernel_sum`` sums a kernel matrix along NumPy's pairwise-summation
+  tree: NumPy sums c > 128 contiguous values as the sum of the first c2,
+  c // 2 rounded down to a multiple of 8, plus the sum of the rest, down to
+  leaves of at most 128. Summing the tree's nodes of at most S entries with
+  NumPy and adding them up the tree equals ``k.sum()`` of the whole matrix.
 """
 
 from __future__ import annotations
@@ -22,6 +42,7 @@ import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,25 +74,46 @@ class GridSpec:
     def dim(self) -> int:
         return len(self.lower)
 
+    @property
+    def size(self) -> int:
+        """Number of grid nodes."""
+        return self.points**self.dim
+
     def axes(self) -> list[np.ndarray]:
         return [
             np.linspace(l, u, self.points) for l, u in zip(self.lower, self.upper)
         ]
 
-    def mesh(self) -> np.ndarray:
-        """All grid nodes as rows, row-major over the axes."""
-        grids = np.meshgrid(*self.axes(), indexing="ij")
-        return np.stack([g.reshape(-1) for g in grids], axis=1)
-
-    def log_trapezoid_weights(self) -> np.ndarray:
-        """Log quadrature weight per node (product trapezoid rule)."""
-        logw = np.zeros(1)
-        for lo, hi in zip(self.lower, self.upper):
+    @cached_property
+    def _axis_tables(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per axis: its node coordinates and their log trapezoid weights."""
+        tables = []
+        for axis, lo, hi in zip(self.axes(), self.lower, self.upper):
             h = (hi - lo) / (self.points - 1)
             w = np.full(self.points, h)
             w[0] = w[-1] = h / 2.0
-            logw = (logw[:, None] + np.log(w)[None, :]).reshape(-1)
-        return logw
+            tables.append((axis, np.log(w)))
+        return tables
+
+    def block(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """The nodes with flat indices start..stop-1, as rows in the order of
+        ``mesh()``, and the log of each node's product trapezoid weight: the
+        axes' log weights added in axis order."""
+        digits = np.unravel_index(np.arange(start, stop), (self.points,) * self.dim)
+        nodes = np.empty((stop - start, self.dim))
+        logw = np.zeros(stop - start)
+        for k, (axis, log_axis_w) in enumerate(self._axis_tables):
+            nodes[:, k] = axis[digits[k]]
+            logw += log_axis_w[digits[k]]
+        return nodes, logw
+
+    def mesh(self) -> np.ndarray:
+        """All grid nodes as rows, row-major over the axes."""
+        return self.block(0, self.size)[0]
+
+    def log_trapezoid_weights(self) -> np.ndarray:
+        """Log quadrature weight per node (product trapezoid rule)."""
+        return self.block(0, self.size)[1]
 
 
 # Node budget of a default grid: 801 points per axis up to 2-d, 103 in 3-d.
@@ -129,8 +171,9 @@ def _unbuffered_rows(width: int):
         np.setbufsize(old)
 
 
-# Elements of per-column scratch in ``sq_distances`` and of one row block of
-# ``median_bandwidth``: 512 KiB, so a block stays in cache.
+# Elements of per-column scratch in ``sq_distances``, of a block of pair
+# distances in ``median_bandwidth`` and of kernel entries in ``mmd_rbf``:
+# 512 KiB, so a block stays in cache.
 SCRATCH_ELEMS = 1 << 16
 
 
@@ -169,39 +212,77 @@ def _sq_distances_to_cols(x: np.ndarray, y_cols: np.ndarray, out: np.ndarray) ->
 # ---------------------------------------------------------------------------
 
 
-def median_bandwidth(x: np.ndarray, y: np.ndarray) -> float:
-    """Median pairwise distance over the pooled samples, equal to
-    np.median of the n(n-1)/2 upper-triangle distances. Each block of rows
-    writes its squared distances to all later rows straight into one vector
-    of the pairs: first the rectangle against the rows after the block, then
-    the pairs within it. sqrt is monotone, so one partition of the squared
-    distances finds the middle one or two, and only those get a sqrt."""
-    pooled = np.vstack([x, y])
+def _pair_sq_distances(pooled: np.ndarray):
+    """Yields the squared distances of every pair i < j of rows of
+    ``pooled`` in blocks: each block of rows against the rows after it, then
+    the pairs within the block. A yielded block is overwritten by the next
+    one; it holds at most SCRATCH_ELEMS distances, or one row's when a row
+    has more pairs than that."""
     n = len(pooled)
     cols = np.ascontiguousarray(pooled.T)
-    sq = np.empty(n * (n - 1) // 2)
-    step = max(1, SCRATCH_ELEMS // n)
+    step = max(1, min(n, SCRATCH_ELEMS // n))
+    buf = np.empty(step * n)
     upper = np.triu(np.ones((step, step), dtype=bool), 1)
-    pos = 0
     for s in range(0, n, step):
         e = min(s + step, n)
         rows = pooled[s:e]
-        size = (e - s) * (n - e)
-        _sq_distances_to_cols(rows, cols[:, e:], sq[pos : pos + size].reshape(e - s, n - e))
-        pos += size
-        within = _sq_distances_to_cols(rows, cols[:, s:e], np.empty((e - s, e - s)))
-        within = within[upper[: e - s, : e - s]]
-        sq[pos : pos + len(within)] = within
-        pos += len(within)
-    half = len(sq) // 2
-    sq.partition(half)
-    # NaN sorts last, and np.median returns NaN when there is one.
-    if np.isnan(sq[half:].max()):
+        yield _sq_distances_to_cols(rows, cols[:, e:], buf[: (e - s) * (n - e)].reshape(e - s, n - e))
+        within = _sq_distances_to_cols(rows, cols[:, s:e], buf[: (e - s) ** 2].reshape(e - s, e - s))
+        yield within[upper[: e - s, : e - s]]
+
+
+# Top 16 bits of +inf. A squared distance is >= +0 or NaN, and the bits of
+# a non-negative float64 order as its values; every NaN an arithmetic
+# operation returns is quiet, so its top 16 bits exceed these.
+_INF_TOP16 = int(np.array(np.inf).view(np.uint64)) >> 48
+
+
+def median_bandwidth(x: np.ndarray, y: np.ndarray) -> float:
+    """Median pairwise distance over the pooled samples, equal to
+    np.median of the n(n-1)/2 upper-triangle distances. sqrt is monotone, so
+    the median comes from the middle one or two squared distances, found in
+    two passes over blocks of pairs: the first counts the distances per
+    pattern of their top 16 bits, the second keeps those in the patterns
+    that hold the middle ranks, and one partition of those finds them. Only
+    the middle one or two get a sqrt."""
+    pooled = np.vstack([x, y])
+    n = len(pooled)
+    total = n * (n - 1) // 2
+    counts = np.zeros(1 << 16, dtype=np.int64)
+    keys = np.empty(SCRATCH_ELEMS + n, dtype=np.int64)
+    for sq in _pair_sq_distances(pooled):
+        top16 = np.right_shift(sq.reshape(-1).view(np.uint64), 48, out=keys[: sq.size].view(np.uint64))
+        block_counts = np.bincount(top16.view(np.int64))
+        counts[: len(block_counts)] += block_counts
+    # np.median returns NaN when a value is NaN.
+    if counts[_INF_TOP16 + 1 :].any():
         return float("nan")
-    mid = np.sqrt(sq[half])
-    if len(sq) % 2:
+    half = total // 2
+    below = np.cumsum(counts)
+    first, last = np.searchsorted(below, [half - 1 + total % 2, half], side="right")
+    if last == _INF_TOP16:
+        return float("inf")
+    lo, hi = (np.array(b << 48, dtype=np.uint64).view(np.float64) for b in (first, last + 1))
+    skipped = below[first] - counts[first]
+    middle = np.empty(below[last] - skipped)
+    pos = 0
+    for sq in _pair_sq_distances(pooled):
+        kept = sq[(sq >= lo) & (sq < hi)]
+        middle[pos : pos + len(kept)] = kept
+        pos += len(kept)
+    k = half - skipped
+    middle.partition(k)
+    mid = np.sqrt(middle[k])
+    if total % 2:
         return float(mid)
-    return float((np.sqrt(sq[:half].max()) + mid) / 2.0)
+    return float((np.sqrt(middle[:k].max()) + mid) / 2.0)
+
+
+def _rbf_in_place(sq: np.ndarray, bandwidth: float) -> np.ndarray:
+    """Squared distances -> Gaussian kernel values, in place."""
+    # -(a / c) and a / -c are the same correctly rounded quotient.
+    np.divide(sq, -2.0 * bandwidth**2, out=sq)
+    return np.exp(sq, out=sq)
 
 
 def rbf_kernel(x, y, bandwidth: float) -> np.ndarray:
@@ -209,10 +290,43 @@ def rbf_kernel(x, y, bandwidth: float) -> np.ndarray:
     on the one distance matrix."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    k = sq_distances(x, y)
-    np.negative(k, out=k)
-    k /= 2.0 * bandwidth**2
-    return np.exp(k, out=k)
+    return _rbf_in_place(sq_distances(x, y), bandwidth)
+
+
+def _pairwise_tree_sum(node_sum, start: int, count: int):
+    """NumPy's pairwise sum of ``count`` values from flat index ``start``
+    (module docstring), with ``node_sum(start, count)`` summing each node of
+    at most SCRATCH_ELEMS values."""
+    if count <= SCRATCH_ELEMS:
+        return node_sum(start, count)
+    c2 = count // 2
+    c2 -= c2 % 8
+    return _pairwise_tree_sum(node_sum, start, c2) + _pairwise_tree_sum(node_sum, start + c2, count - c2)
+
+
+def _kernel_sum(x: np.ndarray, y: np.ndarray, bandwidth: float) -> float:
+    """rbf_kernel(x, y, bandwidth).sum(), bit for bit, without the matrix:
+    each node of the summation tree computes the rows its entries lie in and
+    sums the node's entries with NumPy."""
+    n = len(y)
+    y_cols = np.ascontiguousarray(y.T)
+    # A node's entries span at most two rows more than they fill.
+    buf = np.empty(SCRATCH_ELEMS + 2 * n)
+
+    def node_sum(start, count):
+        r0, r1 = start // n, (start + count - 1) // n + 1
+        sq = _sq_distances_to_cols(x[r0:r1], y_cols, buf[: (r1 - r0) * n].reshape(r1 - r0, n))
+        first = start - r0 * n
+        return _rbf_in_place(sq, bandwidth).reshape(-1)[first : first + count].sum()
+
+    return _pairwise_tree_sum(node_sum, 0, len(x) * n)
+
+
+def _self_kernel_trace(x: np.ndarray, bandwidth: float) -> float:
+    """np.trace(rbf_kernel(x, x, bandwidth)): each row's kernel value
+    against itself, 1 for a finite row and NaN for one with a NaN or an
+    infinite entry."""
+    return _rbf_in_place(np.square(x - x).sum(axis=1), bandwidth).sum()
 
 
 def mmd_rbf(x, y, bandwidth=None) -> float:
@@ -220,7 +334,9 @@ def mmd_rbf(x, y, bandwidth=None) -> float:
 
     bandwidth defaults to the median pairwise distance of the pooled
     samples. The unbiased estimator can be slightly negative for
-    matching distributions.
+    matching distributions. Each kernel matrix is summed block by block
+    (``_kernel_sum``), so the result equals the one from the three full
+    matrices bit for bit.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -231,12 +347,9 @@ def mmd_rbf(x, y, bandwidth=None) -> float:
     if bandwidth is None:
         bandwidth = median_bandwidth(x, y)
     m, n = len(x), len(y)
-    kxx = rbf_kernel(x, x, bandwidth)
-    kyy = rbf_kernel(y, y, bandwidth)
-    kxy = rbf_kernel(x, y, bandwidth)
-    a = (kxx.sum() - np.trace(kxx)) / (m * (m - 1))
-    b = (kyy.sum() - np.trace(kyy)) / (n * (n - 1))
-    c = 2.0 * kxy.mean()
+    a = (_kernel_sum(x, x, bandwidth) - _self_kernel_trace(x, bandwidth)) / (m * (m - 1))
+    b = (_kernel_sum(y, y, bandwidth) - _self_kernel_trace(y, bandwidth)) / (n * (n - 1))
+    c = 2.0 * (_kernel_sum(x, y, bandwidth) / (m * n))
     return float(a + b - c)
 
 
@@ -375,12 +488,42 @@ def map_row_blocks(fn, rows: np.ndarray):
     return np.concatenate(parts)
 
 
+# Blocks of nodes that ``_map_grid`` builds per call of GridSpec.block. Each
+# call has a fixed cost, run under the GIL, of about half that of building
+# one block's nodes; at 801^2 nodes one call per block made quadrature 5-20%
+# slower than slicing a prebuilt mesh.
+_GRID_SPAN_BLOCKS = 8
+
+
+def _map_grid(fn, grid: GridSpec) -> np.ndarray:
+    """``fn(nodes, log_weights)`` (``GridSpec.block``) over consecutive
+    blocks of at most BLOCK_ROWS nodes of ``grid``, on threads as in
+    ``map_row_blocks``, each thread building the nodes of _GRID_SPAN_BLOCKS
+    blocks at a time; each block's values, one per node, are written into
+    one per-node vector, the only array the size of the grid."""
+    out = np.empty(grid.size)
+    blocks = -(-grid.size // BLOCK_ROWS)
+    workers = min(BLOCK_WORKERS, blocks)
+    # Spans of equal size for each worker on small grids.
+    span = BLOCK_ROWS * min(_GRID_SPAN_BLOCKS, -(-blocks // workers))
+
+    def run(start):
+        nodes, logw = grid.block(start, min(start + span, grid.size))
+        for s in range(0, len(nodes), BLOCK_ROWS):
+            block = slice(s, s + BLOCK_ROWS)
+            out[start + s : start + s + BLOCK_ROWS] = fn(nodes[block], logw[block])
+
+    starts = range(0, grid.size, span)
+    _map_threaded(run, starts, min(workers, len(starts)))
+    return out
+
+
 def quadrature_log_z(f, grid: GridSpec) -> float:
     """Trapezoid quadrature of log integral exp(-f(z)) N(z; 0, I) dz."""
     if grid.dim > 3:
         raise ValueError(f"quadrature supports dim <= 3, got {grid.dim}")
-    logw = map_row_blocks(tilted_log_density(f), grid.mesh()) + grid.log_trapezoid_weights()
-    return float(logsumexp(logw))
+    log_density = tilted_log_density(f)
+    return float(logsumexp(_map_grid(lambda z, logw: log_density(z) + logw, grid)))
 
 
 # Query rows per KDE distance buffer: 256 rows against 2000 draws is 4 MiB.
@@ -418,6 +561,6 @@ def density_grid(log_density, grid: GridSpec) -> np.ndarray:
     over ``grid.axes()`` (x outer); it maps each chunk of rows to one value per row."""
     if grid.dim != 2:
         raise ValueError(f"density_grid needs dim == 2, got {grid.dim}")
-    return map_row_blocks(
-        lambda z: np.asarray(log_density(z), dtype=np.float64).reshape(len(z)), grid.mesh()
+    return _map_grid(
+        lambda z, _: np.asarray(log_density(z), dtype=np.float64).reshape(len(z)), grid
     )

@@ -120,11 +120,19 @@ def sample_sir_batch(f: EnergyFunction, g: FlowSampler, cfg: SirConfig, count: i
 
 
 def generate(vae: VaeModel, latents: np.ndarray) -> np.ndarray:
-    """Decode latents to the observation-model mean (no noise added)."""
+    """Decode latents to the observation-model mean (no noise added), in
+    blocks of metrics.BLOCK_ROWS rows. BLAS may pick its kernel by row count,
+    so a decode of more rows than one block can differ from one pass over
+    all of them in the last bits: by at most 2e-12 of each row's largest
+    magnitude, the decode tolerance."""
     latents = np.asarray(latents, dtype=np.float64)
     if latents.shape[-1] != vae.nz:
         raise ShapeMismatchError(f"latent width {latents.shape[-1]} vs nz {vae.nz}")
     if not np.all(np.isfinite(latents)):
         raise DomainError("latents must be finite")
-    out = vae.decoder.forward_arrays(latents, False)[0]
-    return stable_sigmoid(out) if vae.obs_model == "bernoulli" else out
+
+    def decode(z):
+        out = vae.decoder.forward_arrays(z, False)[0]
+        return stable_sigmoid(out) if vae.obs_model == "bernoulli" else out
+
+    return map_row_blocks(decode, latents)

@@ -191,6 +191,8 @@ def aggregate_posterior_sample(m: VaeModel, data: np.ndarray, n: int, seed) -> n
     data = np.asarray(data, dtype=np.float64)
     if data.size == 0:
         raise ValueError("empty dataset")
+    if data.shape[-1] != m.data_dim:
+        raise ShapeMismatchError(f"data width {data.shape[-1]} vs VAE data_dim {m.data_dim}")
     rng = seed if isinstance(seed, Rng) else Rng(seed)
     idx = rng.integers(0, data.shape[0], n)
     eps = rng.normal((n, m.nz))

@@ -6,7 +6,6 @@ checklist. Importing ``per_op`` binds the tensor operators every test
 module may use.
 """
 
-import numpy as np
 import pytest
 
 import per_op  # noqa: F401

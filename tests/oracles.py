@@ -7,7 +7,14 @@ from scipy.special import logsumexp
 from evalp.diffcore import Tensor, backward, clear_tape, no_grad
 from evalp.errors import ShapeMismatchError
 from evalp.gauss import LOG_2PI
-from evalp.metrics import GridSpec, map_row_blocks, median_bandwidth, mmd_rbf, tilted_log_density
+from evalp.metrics import (
+    GridSpec,
+    map_row_blocks,
+    median_bandwidth,
+    mmd_rbf,
+    rbf_kernel,
+    tilted_log_density,
+)
 from evalp.rng import Rng
 from per_op import DiagGaussian, exp
 
@@ -85,3 +92,34 @@ def quadrature_expectation(f, h, grid: GridSpec):
     if hv.ndim == 1:
         return float((w * hv).sum())
     return (w[:, None] * hv).sum(axis=0)
+
+
+def mesh_and_log_weights(grid: GridSpec):
+    """Every node of ``grid`` from np.meshgrid of its axes, row-major, and
+    the log product-trapezoid weights as an outer sum over the axes."""
+    axes = [np.linspace(lo, hi, grid.points) for lo, hi in zip(grid.lower, grid.upper)]
+    mesh = np.stack([g.reshape(-1) for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    logw = np.zeros(1)
+    for lo, hi in zip(grid.lower, grid.upper):
+        h = (hi - lo) / (grid.points - 1)
+        w = np.full(grid.points, h)
+        w[0] = w[-1] = h / 2.0
+        logw = (logw[:, None] + np.log(w)[None, :]).reshape(-1)
+    return mesh, logw
+
+
+def mesh_quadrature_log_z(f, grid: GridSpec) -> float:
+    """quadrature_log_z over the whole mesh at once."""
+    mesh, logw = mesh_and_log_weights(grid)
+    return float(logsumexp(map_row_blocks(tilted_log_density(f), mesh) + logw))
+
+
+def three_matrix_mmd(x, y, bandwidth) -> float:
+    """mmd_rbf from the three full kernel matrices."""
+    m, n = len(x), len(y)
+    kxx = rbf_kernel(x, x, bandwidth)
+    kyy = rbf_kernel(y, y, bandwidth)
+    kxy = rbf_kernel(x, y, bandwidth)
+    a = (kxx.sum() - np.trace(kxx)) / (m * (m - 1))
+    b = (kyy.sum() - np.trace(kyy)) / (n * (n - 1))
+    return float(a + b - 2.0 * kxy.mean())

@@ -2,13 +2,15 @@
 with every file read back, the SIR weight mode named in each report,
 byte-identical outputs from two processes, a runtime import that loads no
 SciPy, empty samples, the ``--seed`` flag against the config file's seed,
-the exit code of each failure kind, the sweep's worker count, and the
-sweep's NCE SIR against the closed-form linear tilt and in row blocks
-against one block."""
+the exit code of each failure kind (a VAE whose data width is not the
+dataset's, an output path that cannot be a directory), the sweep's worker
+count, and the sweep's NCE SIR against the closed-form linear tilt and in
+row blocks against one block."""
 
 import csv
 import json
 import os
+import struct
 import subprocess
 import sys
 from collections import defaultdict
@@ -20,7 +22,7 @@ import pytest
 import evalp.app.cli as cli
 import evalp.errors as errors
 from evalp import metrics
-from evalp.app.checkpoint import load_energy, load_flow, load_vae
+from evalp.app.checkpoint import load_energy, load_flow, load_vae, save_energy, save_flow, save_vae
 from evalp.app.cli import EXIT_CODES, main
 from evalp.app.config import parse_config
 from evalp.models import EnergyFunction, FlowSampler, VaeModel
@@ -126,6 +128,45 @@ def test_malformed_idx_file_exits_2(tmp_path):
         "stage1": {"nz": 2, "epochs": 1},
     }))
     assert _run(str(cfg), tmp_path, "train-vae") == 2
+
+
+def _idx_config(tmp_path, side=4, count=64):
+    """A config whose dataset is ``count`` random side x side IDX images."""
+    pixels = (Rng(5).uniform((count, side * side)) * 255).astype(np.uint8)
+    path = tmp_path / "images.idx"
+    path.write_bytes(struct.pack(">4I", 0x803, count, side, side) + pixels.tobytes())
+    return _config(tmp_path, "idx", dataset={"name": "idx", "params": {"path": str(path)}})
+
+
+def _idx_models(tmp_path):
+    """Checkpoint flags of a VAE for 16-pixel images at nz 2, with its prior."""
+    paths = {k: str(tmp_path / f"idx_{k}.ckpt") for k in ("vae", "energy", "flow")}
+    save_vae(paths["vae"], VaeModel(16, 2, (8, 8), rng=Rng(1)), 0)
+    save_energy(paths["energy"], EnergyFunction(2, 8, Rng(2)), 0)
+    save_flow(paths["flow"], FlowSampler(2, 8, 2, Rng(3)), 0)
+    return [arg for k, p in paths.items() for arg in (f"--{k}", p)]
+
+
+@pytest.mark.parametrize("command", ["train-prior", "eval"])
+@pytest.mark.parametrize("models_for", ["ring", "idx"], ids=["ring_vae_on_idx", "idx_vae_on_ring"])
+def test_vae_of_another_data_width_exits_4(tmp_path, trained, capsys, command, models_for):
+    if models_for == "ring":
+        cfg, models = _idx_config(tmp_path), trained[1]
+    else:
+        cfg, models = _config(tmp_path), _idx_models(tmp_path)
+    argv = models if command == "eval" else models[:2]
+    assert _run(cfg, tmp_path / "out", command, *argv) == 4
+    assert "ShapeMismatchError: data width" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train-vae", "train-prior", "sample", "eval", "sweep-kl"])
+def test_output_path_under_a_file_exits_2(tmp_path, trained, capsys, command):
+    _, models = trained
+    cfg = _config(tmp_path, sweep={"kl_weights": [0.5, 2.0], "n_seeds": 1, "eval_samples": 20})
+    argv = {"train-prior": models[:2], "sample": models, "eval": models}.get(command, [])
+    (tmp_path / "file").write_text("")
+    assert _run(cfg, tmp_path / "file" / "sub", command, *argv) == 2
+    assert "ConfigError: cannot create output directory" in capsys.readouterr().err
 
 
 def test_corrupt_checkpoint_exits_4(tmp_path):

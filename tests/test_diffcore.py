@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import per_op
-from evalp.diffcore import Adam, Tensor, active_tape, backward, clear_tape, no_grad
+from evalp.diffcore import Adam, Tensor, active_tape, backward, no_grad
 from evalp.errors import NonFiniteError, ShapeMismatchError
 from evalp.models import LEAKY_SLOPE, Mlp, MlpSpec
 from evalp.rng import Rng

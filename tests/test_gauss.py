@@ -11,7 +11,6 @@ from evalp.diffcore import Tensor, no_grad
 from evalp.errors import ShapeMismatchError
 from evalp.gauss import standard_normal_logpdf
 from evalp.metrics import GridSpec
-from evalp.rng import Rng
 from oracles import log_pdf, standard_normal
 from per_op import DiagGaussian, kl_to_standard, reparameterize
 

@@ -1,10 +1,16 @@
 """Grid-path tests: density-grid layout, the aggregate-posterior KDE against
-its closed form, the export's bytes, normalizer and memory bound, the
-default grid against the closed-form linear tilt, threaded row blocks
-against the serial loop, the median-distance bandwidth, and the NumPy
-log-sum-exp, squared distances and RBF kernel bitwise against SciPy."""
+its closed form, the export's bytes, normalizer and memory bound, grid
+blocks against the mesh, the default grid against the closed-form linear
+tilt, quadrature bitwise against the mesh formula and bounded to one
+per-node vector, threaded row blocks against the serial loop, the
+median-distance bandwidth and the MMD bitwise against their full-matrix
+formulas, within their memory bounds and freeing their blocks on return,
+the Frechet distance against the
+closed form of two Gaussians, and the NumPy log-sum-exp, squared distances
+and RBF kernel bitwise against SciPy."""
 
 import csv
+import gc
 import io
 import multiprocessing
 import sys
@@ -13,6 +19,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import sqrtm
 from scipy.spatial.distance import cdist
 from scipy.special import logsumexp as scipy_logsumexp
 
@@ -27,9 +34,11 @@ from evalp.metrics import (
     GridSpec,
     default_grid,
     density_grid,
+    frechet_gaussian,
     logsumexp,
     map_row_blocks,
     median_bandwidth,
+    mmd_rbf,
     qagg_log_kde,
     quadrature_log_z,
     rbf_kernel,
@@ -38,6 +47,7 @@ from evalp.metrics import (
 )
 from evalp.models import EnergyFunction, FlowSampler, VaeModel
 from evalp.rng import Rng
+from oracles import mesh_and_log_weights, mesh_quadrature_log_z, three_matrix_mmd
 
 EXPORT_GRIDS = [
     "grid_base_prior.csv",
@@ -172,6 +182,42 @@ def test_default_3d_grid_recovers_linear_tilt_log_z():
     a = np.array([0.8, -0.5, 0.3])
     log_z = quadrature_log_z(lambda z: z @ a, default_grid(3))
     assert log_z == pytest.approx(0.5 * a @ a, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [default_grid(1), GridSpec((-1.0, 2.0), (3.0, 5.0), 17), GridSpec((-1.0, 2.0, 0.0), (3.0, 5.0, 0.5), 20)],
+    ids=["1d", "2d", "3d"],
+)
+def test_grid_blocks_are_ranges_of_the_mesh_and_its_log_weights(grid):
+    mesh, logw = mesh_and_log_weights(grid)
+    assert grid.size == len(mesh)
+    _assert_same_bits(grid.mesh(), mesh)
+    _assert_same_bits(grid.log_trapezoid_weights(), logw)
+    for start, stop in [(0, 1), (5, grid.size // 2), (grid.size - 7, grid.size)]:
+        nodes, block_logw = grid.block(start, stop)
+        _assert_same_bits(nodes, mesh[start:stop])
+        _assert_same_bits(block_logw, logw[start:stop])
+
+
+@pytest.mark.parametrize("grid", [default_grid(2), default_grid(3, half_width=6.0)], ids=["801^2", "103^3"])
+def test_quadrature_log_z_equals_the_mesh_formula(grid):
+    f = EnergyFunction(grid.dim, 16, Rng(7))
+    assert quadrature_log_z(f, grid) == mesh_quadrature_log_z(f, grid)
+
+
+def test_quadrature_holds_one_per_node_vector():
+    f = EnergyFunction(2, 64, Rng(2))
+    grid = default_grid(2)
+    tracemalloc.start()
+    try:
+        quadrature_log_z(f, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The 641601 per-node log weights are 4.9 MiB, and logsumexp's scratch
+    # as much again; the mesh with its weights alone is 14.7 MiB.
+    assert peak < 16 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +376,17 @@ def test_median_bandwidth_is_nan_when_a_distance_is():
     assert np.isnan(_triu_median_bandwidth(x, y))
 
 
-def test_median_bandwidth_holds_one_condensed_distance_vector():
+@pytest.mark.parametrize("huge_rows", [1, 20], ids=["finite_median", "infinite_median"])
+def test_median_bandwidth_with_overflowing_distances_equals_the_upper_triangle_median(huge_rows):
+    x, y = Rng(1).normal((20, 2)), Rng(2).normal((20, 2))
+    # Squared distances from these rows overflow to inf: 39 of the 780 pairs
+    # for one row, 590 of them for all 20.
+    x[:huge_rows] *= 1e200
+    with np.errstate(over="ignore"):
+        assert median_bandwidth(x, y) == _triu_median_bandwidth(x, y)
+
+
+def test_median_bandwidth_holds_blocks_of_pairs_not_the_pair_vector():
     x, y = Rng(1).normal((1000, 2)), Rng(2).normal((1000, 2))
     tracemalloc.start()
     try:
@@ -338,8 +394,100 @@ def test_median_bandwidth_holds_one_condensed_distance_vector():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # The 1999000 pair distances are 15.3 MiB; the full matrix alone is 30.5 MiB.
-    assert peak < 20 * 2**20
+    # The 1999000 pair distances alone are 15.3 MiB. A block of distances,
+    # its keys, the count vector and the middle patterns' values take 3 MiB.
+    assert peak < 4 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# MMD
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "m, n, d",
+    [(40, 50, 3), (1000, 1000, 2), (257, 301, 5), (300, 1200, 2), (1200, 300, 16), (2, 3, 1)],
+    ids=["below_one_leaf", "square", "not_a_multiple_of_8", "wide", "tall", "fewest_rows"],
+)
+def test_mmd_rbf_equals_the_three_matrix_formula(m, n, d):
+    # 257^2, 301^2 and 257 * 301 entries exceed one summed block and are
+    # odd, so their sums split into blocks that end mid-row.
+    x = Rng(m).normal((m, d))
+    y = Rng(n + 1).normal((n, d)) * 1.3 + 0.2
+    assert mmd_rbf(x, y) == three_matrix_mmd(x, y, median_bandwidth(x, y))
+    assert mmd_rbf(x, y, 0.7) == three_matrix_mmd(x, y, 0.7)
+
+
+def test_mmd_rbf_with_a_nan_row_is_nan_as_the_formula():
+    x, y = Rng(1).normal((300, 2)), Rng(2).normal((250, 2))
+    x[17, 1] = np.nan
+    assert np.isnan(mmd_rbf(x, y, 1.0))
+    assert np.isnan(three_matrix_mmd(x, y, 1.0))
+
+
+def test_mmd_rbf_holds_no_kernel_matrix():
+    x, y = Rng(1).normal((2000, 2)), Rng(2).normal((2000, 2))
+    tracemalloc.start()
+    try:
+        mmd_rbf(x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One 2000 x 2000 kernel matrix is 30.5 MiB and the 7998000 pooled pair
+    # distances 61 MiB.
+    assert peak < 8 * 2**20
+
+
+_X, _Y = Rng(1).normal((1000, 2)), Rng(2).normal((1000, 2))
+_F = EnergyFunction(2, 16, Rng(2))
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda: median_bandwidth(_X, _Y),
+        lambda: mmd_rbf(_X, _Y),
+        lambda: quadrature_log_z(_F, default_grid(2, points=201)),
+    ],
+    ids=["median_bandwidth", "mmd_rbf", "quadrature_log_z"],
+)
+def test_blocked_evaluations_free_their_blocks_on_return(evaluate):
+    evaluate()
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        for _ in range(5):
+            evaluate()
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    # With the collector off, a reference cycle through a block buffer (0.5
+    # MiB each) would keep it after the call returns.
+    assert current < 2**20
+
+
+# ---------------------------------------------------------------------------
+# Frechet-Gaussian proxy
+# ---------------------------------------------------------------------------
+
+
+def _gaussian_rows(mean, cov, rows, seed):
+    return np.asarray(mean) + Rng(seed).normal((rows, len(mean))) @ np.linalg.cholesky(cov).T
+
+
+def test_frechet_gaussian_matches_the_closed_form_of_two_gaussians():
+    mu_x, mu_y = np.array([0.0, 1.0, -0.5]), np.array([0.5, 0.0, 0.5])
+    cov_x = np.array([[2.0, 0.6, 0.0], [0.6, 1.0, 0.3], [0.0, 0.3, 0.5]])
+    cov_y = np.array([[1.0, -0.2, 0.1], [-0.2, 0.8, 0.0], [0.1, 0.0, 1.5]])
+    root = sqrtm(cov_x)
+    exact = ((mu_x - mu_y) ** 2).sum() + np.trace(cov_x + cov_y - 2.0 * sqrtm(root @ cov_y @ root)).real
+    x = _gaussian_rows(mu_x, cov_x, 200_000, 1)
+    y = _gaussian_rows(mu_y, cov_y, 200_000, 2)
+    # Over 12 seed pairs at 200000 rows the estimate spread with sd 0.0085.
+    assert frechet_gaussian(x, y) == pytest.approx(exact, abs=0.03)
+    assert frechet_gaussian(x, x) == pytest.approx(0.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 SciPy's log-sum-exp, tilted_base (the default) SIR against the 2-d
 quadrature oracle, the NFE counter against the rows actually evaluated,
 evaluation in row blocks against one block and on two threads against one,
-the paper_literal picks against a reference that evaluates Z-hat, and
-decoding against the per-op route."""
+the paper_literal picks against a reference that evaluates Z-hat,
+decoding against the per-op route, and decoding in row blocks within the
+decode tolerance of one pass and within one block's memory."""
 
 import tracemalloc
 
@@ -14,6 +15,7 @@ from scipy.special import logsumexp
 import per_op
 from evalp import metrics
 from evalp.diffcore import Tensor, active_tape, clear_tape, no_grad
+from evalp.diffcore.tensor import stable_sigmoid
 from evalp.errors import DomainError, ShapeMismatchError
 from evalp.metrics import default_grid
 from evalp.models import EnergyFunction, FlowSampler, Mlp, VaeModel, default_sizes, flow_terms
@@ -198,3 +200,45 @@ def test_generate_decodes_off_the_tape_as_the_per_op_route(obs_model):
     z[1, 0] = np.nan
     with pytest.raises(DomainError, match="finite"):
         generate(vae, z)
+
+
+def _decode_in_one_pass(vae, z):
+    out = vae.decoder.forward_arrays(z, False)[0]
+    return stable_sigmoid(out) if vae.obs_model == "bernoulli" else out
+
+
+@pytest.mark.parametrize(
+    "data_dim, nz, hidden, obs_model",
+    [(2, 2, (64, 64), "gaussian"), (256, 16, (128, 128), "bernoulli")],
+    ids=["ring", "idx16"],
+)
+def test_generate_in_row_blocks_is_within_the_decode_tolerance(data_dim, nz, hidden, obs_model, monkeypatch):
+    vae = VaeModel(data_dim, nz, hidden, obs_model, rng=Rng(1))
+    z = Rng(3).normal((20000, nz))
+    # Up to one block, generate is the one-pass decode.
+    np.testing.assert_array_equal(
+        generate(vae, z[:1000]).view(np.int64),
+        _decode_in_one_pass(vae, z[:1000]).view(np.int64),
+    )
+    blocked = generate(vae, z)
+    monkeypatch.setattr(metrics, "BLOCK_ROWS", 10**9)
+    whole = generate(vae, z)
+    # BLAS may pick its kernel by row count, so blocks of rows can differ from
+    # one pass in the last bits: the decode tolerance is 2e-12 of the largest
+    # magnitude in each row.
+    scale = np.abs(whole).max(axis=1, keepdims=True)
+    assert (np.abs(blocked - whole) <= 2e-12 * scale).all()
+
+
+def test_generate_holds_one_block_of_activations():
+    vae = VaeModel(2, 2, (64, 64), rng=Rng(1))
+    z = Rng(3).normal((20000, 2))
+    tracemalloc.start()
+    try:
+        generate(vae, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One pass holds a 20000 x 64 activation, 9.8 MiB; a block of 1024 rows
+    # 0.5 MiB per worker.
+    assert peak < 4 * 2**20

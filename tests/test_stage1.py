@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from evalp.data import make_gaussian_ring
 from evalp.errors import TrainingDivergedError
 from evalp.gauss import LOG_2PI
 from evalp.metrics import mmd_rbf

@@ -19,7 +19,6 @@ from evalp.stage2 import (
     nce_loss,
     sampler_loss,
     train_nce_ratio_baseline,
-    train_prior,
     train_tilted_prior,
 )
 from oracles import gradcheck, quadrature_expectation
