@@ -36,7 +36,7 @@ from ..metrics import (
     density_grid,
     frechet_gaussian,
     mmd_rbf,
-    qagg_log_kde,
+    qagg_kde_grid,
     quadrature_log_z,
     tilted_log_density,
 )
@@ -137,23 +137,23 @@ def run_train_vae(cfg: RunConfig, out: Path) -> dict:
 
 def _export_density_grids(out: Path, vae, f, g, data, seeds):
     grid = GridSpec((-4.0, -4.0), (4.0, 4.0), EXPORT_GRID_POINTS)
-    qagg_kde = qagg_log_kde(aggregate_posterior_sample(vae, data, 2000, seeds["sir"]))
+    q_samples = aggregate_posterior_sample(vae, data, 2000, seeds["sir"])
     tilted = tilted_log_density(f)
     log_z = quadrature_log_z(f, default_grid(2, points=EXPORT_GRID_POINTS))
-    names = {
+    densities = {
         "grid_base_prior.csv": standard_normal_logpdf,
         "grid_tilted_prior.csv": lambda z: tilted(z) - log_z,
         "grid_flow_density.csv": g.log_pdf,
-        "grid_qagg_kde.csv": qagg_kde,
     }
+    grids = {name: density_grid(fn, grid) for name, fn in densities.items()}
+    grids["grid_qagg_kde.csv"] = qagg_kde_grid(q_samples, grid)
     # The bytes csv.writer gives, with the shared (x, y) text formatted once.
     prefixes = [f"{x!r},{y!r}," for x, y in grid.mesh().tolist()]
-    for fname, fn in names.items():
-        values = density_grid(fn, grid).tolist()
+    for fname, values in grids.items():
         with open(out / fname, "w", newline="") as fh:
             fh.write("x,y,log_density\r\n")
-            fh.writelines([f"{p}{v!r}\r\n" for p, v in zip(prefixes, values)])
-    return sorted(names)
+            fh.writelines([f"{p}{v!r}\r\n" for p, v in zip(prefixes, values.tolist())])
+    return sorted(grids)
 
 
 def run_train_prior(cfg: RunConfig, out: Path, vae_path: str) -> dict:

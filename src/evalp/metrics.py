@@ -15,6 +15,8 @@ S = SCRATCH_ELEMS float64 values, beyond its inputs and outputs:
 - ``mmd_rbf``: the median's, then a block of at most S kernel entries plus
   two rows;
 - ``qagg_log_kde``: KDE_SLICE_ROWS query rows against all draws;
+- ``qagg_kde_grid``: two P x n kernel-factor matrices, for P points per
+  axis and n draws (3.1 MiB at 101 x 2000), and one value per grid node;
 - ``sampling.generate``, ``sample_fast`` and SIR, through
   ``map_row_blocks``: B rows of network activations per worker thread.
 
@@ -33,6 +35,13 @@ NumPy's results bit for bit:
   c // 2 rounded down to a multiple of 8, plus the sum of the rest, down to
   leaves of at most 128. Summing the tree's nodes of at most S entries with
   NumPy and adding them up the tree equals ``k.sum()`` of the whole matrix.
+
+One evaluation is not bitwise: ``qagg_kde_grid`` sums the KDE's kernel as
+products of per-axis factors, exp(-dx^2 / 2 bw^2) exp(-dy^2 / 2 bw^2), in
+one matrix product, so it agrees with ``density_grid(qagg_log_kde(q),
+grid)`` within 1e-14 of max(1, |value|) (about 1e-15 on trained ring VAEs,
+with about 70% of nodes equal). Its bits depend on the BLAS thread count,
+as the matrix product's summation order does.
 """
 
 from __future__ import annotations
@@ -530,13 +539,20 @@ def quadrature_log_z(f, grid: GridSpec) -> float:
 KDE_SLICE_ROWS = 256
 
 
-def qagg_log_kde(q_samples: np.ndarray):
-    """Rows -> log Gaussian KDE of aggregate-posterior draws ``q_samples``, bandwidth
-    max(1e-3, std * n^(-1/6)); log-sum-exp in place on a distance buffer of at
-    most KDE_SLICE_ROWS query rows."""
+def _kde_scale(q_samples: np.ndarray) -> tuple[float, float]:
+    """(bw^2, log normalizer) of the Gaussian KDE of ``q_samples``: bandwidth
+    max(1e-3, std * n^(-1/6)), normalizer n (2 pi bw^2)^(dim/2)."""
     n, dim = q_samples.shape
     bw2 = max(1e-3, float(q_samples.std()) * n ** (-1.0 / 6.0)) ** 2
-    log_norm = np.log(n) + 0.5 * dim * np.log(2 * np.pi * bw2)
+    return bw2, np.log(n) + 0.5 * dim * np.log(2 * np.pi * bw2)
+
+
+def qagg_log_kde(q_samples: np.ndarray):
+    """Rows -> log Gaussian KDE of aggregate-posterior draws ``q_samples``
+    (``_kde_scale``); log-sum-exp in place on a distance buffer of at most
+    KDE_SLICE_ROWS query rows."""
+    n = len(q_samples)
+    bw2, log_norm = _kde_scale(q_samples)
 
     def log_density(z):
         out = np.empty(len(z))
@@ -554,6 +570,45 @@ def qagg_log_kde(q_samples: np.ndarray):
         return out
 
     return log_density
+
+
+def qagg_kde_grid(q_samples: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """``qagg_log_kde(q_samples)`` at each node of ``grid.mesh()``, a 2-d
+    grid, from per-axis kernel factors (module docstring).
+
+    The kernel factorizes over the axes, so with A[i, k] =
+    exp(-(x_i - q_k0)^2 / 2 bw^2 - a_i) over the x axis, a_i its row
+    maximum, and B, b_j likewise over the y axis, the log KDE at node
+    (x_i, y_j) is log (A B^T)[i, j] + a_i + b_j - log normalizer. Where a
+    node's sum is below n times the smallest normal float, terms lost to
+    underflow could exceed its rounding error, so that node is evaluated by
+    ``qagg_log_kde``."""
+    if grid.dim != 2:
+        raise ValueError(f"qagg_kde_grid needs dim == 2, got {grid.dim}")
+    if q_samples.shape[1] != 2:
+        raise ShapeMismatchError(f"qagg_kde_grid: draws of width {q_samples.shape[1]} on a 2-d grid")
+    n = len(q_samples)
+    bw2, log_norm = _kde_scale(q_samples)
+    axes, factors, peaks = grid.axes(), [], []
+    for axis, draws in zip(axes, q_samples.T):
+        e = np.subtract.outer(axis, draws)
+        np.square(e, out=e)
+        e /= -2.0 * bw2
+        peak = e.max(axis=1)
+        e -= peak[:, None]
+        factors.append(np.exp(e, out=e))
+        peaks.append(peak)
+    sums = (factors[0] @ factors[1].T).reshape(-1)
+    del factors
+    with np.errstate(divide="ignore"):
+        out = np.log(sums)
+    out += np.add.outer(peaks[0], peaks[1]).reshape(-1)
+    out -= log_norm
+    low = np.flatnonzero(sums < n * np.finfo(np.float64).tiny)
+    if len(low):
+        i, j = np.divmod(low, grid.points)
+        out[low] = qagg_log_kde(q_samples)(np.column_stack([axes[0][i], axes[1][j]]))
+    return out
 
 
 def density_grid(log_density, grid: GridSpec) -> np.ndarray:

@@ -25,6 +25,10 @@ from .gauss import LOG_2PI, LOGVAR_MAX, LOGVAR_MIN
 from .models import OBS_MODELS, VaeModel
 from .rng import Rng
 
+# Training diverges once a term passes this bound: in stage 1, this many
+# times the loss at initialization; in stage 2, on the energies themselves.
+DIVERGENCE_LIMIT = 1e6
+
 
 @dataclass
 class Stage1Config:
@@ -139,7 +143,10 @@ def train_vae(data: np.ndarray, cfg: Stage1Config):
 
     History holds one (epoch, total, recon, kl) row of epoch-mean losses.
     Deterministic given cfg.seed. Aborts with the last finite parameter
-    snapshot if the loss diverges.
+    snapshot if the loss is not finite, or if the magnitude of an epoch's
+    mean reconstruction or KL term is above DIVERGENCE_LIMIT times the loss
+    of the first batch, at initialization (at least 1): both terms scale
+    with the data as that loss does, and a sane run stays far below it.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.size == 0:
@@ -153,6 +160,7 @@ def train_vae(data: np.ndarray, cfg: Stage1Config):
     opt = Adam(model.parameters(), lr=cfg.learning_rate)
     history = []
     last_good = _snapshot(model)
+    bound = None
 
     for epoch in range(cfg.epochs):
         perm = shuffle_rng.permutation(n)
@@ -170,16 +178,19 @@ def train_vae(data: np.ndarray, cfg: Stage1Config):
                 raise TrainingDivergedError(
                     f"stage-1 training diverged at epoch {epoch}: {e}", last_good=last_good
                 ) from e
+            if bound is None:
+                bound = DIVERGENCE_LIMIT * max(1.0, abs(total.item()))
             sums += [total.item(), recon, kl]
             batches += 1
-        history.append(
-            {
-                "epoch": epoch,
-                "total": sums[0] / batches,
-                "recon": sums[1] / batches,
-                "kl": sums[2] / batches,
-            }
-        )
+        means = sums / batches
+        tripped = [f"{k} {v:.3g}" for k, v in (("recon", means[1]), ("kl", means[2])) if abs(v) > bound]
+        if tripped:
+            raise TrainingDivergedError(
+                f"stage-1 training diverged at epoch {epoch}: epoch-mean {', '.join(tripped)}"
+                f" above {bound:.3g} in magnitude (DIVERGENCE_LIMIT times the initial loss)",
+                last_good=last_good,
+            )
+        history.append({"epoch": epoch, "total": means[0], "recon": means[1], "kl": means[2]})
         last_good = _snapshot(model)
     return model, history
 

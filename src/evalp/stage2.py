@@ -22,9 +22,7 @@ from .diffcore.tensor import stable_sigmoid
 from .errors import DomainError, NonFiniteError, ShapeMismatchError, TrainingDivergedError
 from .models import EnergyFunction, FlowSampler, default_sizes, energy_input_grad, flow_terms
 from .rng import Rng
-from .stage1 import aggregate_posterior_sample
-
-DIVERGENCE_LIMIT = 1e6
+from .stage1 import DIVERGENCE_LIMIT, aggregate_posterior_sample
 
 
 @dataclass

@@ -3,7 +3,8 @@ with every file read back, the SIR weight mode named in each report,
 byte-identical outputs from two processes, a runtime import that loads no
 SciPy, empty samples, the ``--seed`` flag against the config file's seed,
 the exit code of each failure kind (a VAE whose data width is not the
-dataset's, an output path that cannot be a directory), the sweep's worker
+dataset's, an output path that cannot be a directory, a stage-1 term past
+the divergence limit, named in the message), the sweep's worker
 count, and the sweep's NCE SIR against the closed-form linear tilt and in
 row blocks against one block."""
 
@@ -104,6 +105,17 @@ def test_stage1_divergence_exits_3_and_last_good_loads(tmp_path):
 
 def test_stage1_overflow_exits_3(tmp_path):
     assert _run(_config(tmp_path, stage1__learning_rate=1e150), tmp_path, "train-vae") == 3
+
+
+@pytest.mark.parametrize("lr, terms", [(1e6, ["recon", "kl"]), (1.0, ["recon"])])
+def test_stage1_divergence_limit_exits_3_naming_the_term(tmp_path, capsys, lr, terms):
+    # Both rates keep every loss finite; only the limit stops them.
+    assert _run(_config(tmp_path, stage1__learning_rate=lr), tmp_path, "train-vae") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("TrainingDivergedError: stage-1 training diverged at epoch 0")
+    assert [t for t in ("recon", "kl") if f" {t} " in err] == terms
+    assert load_vae(tmp_path / "vae_lastgood.ckpt").nz == 2
+    assert not (tmp_path / "vae.ckpt").exists()
 
 
 def test_stage2_overflow_exits_3(tmp_path, vae_ckpt):

@@ -1,5 +1,7 @@
 """Grid-path tests: density-grid layout, the aggregate-posterior KDE against
-its closed form, the export's bytes, normalizer and memory bound, grid
+its closed form, its grid from per-axis factors against the row KDE (on
+trained ring VAEs at both BLAS settings, where the factor sums underflow,
+in mesh order, within its memory bound), the export's bytes, normalizer and memory bound, grid
 blocks against the mesh, the default grid against the closed-form linear
 tilt, quadrature bitwise against the mesh formula and bounded to one
 per-node vector, threaded row blocks against the serial loop, the
@@ -13,9 +15,12 @@ import csv
 import gc
 import io
 import multiprocessing
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +33,7 @@ from evalp import metrics
 from evalp.app.cli import EXPORT_GRID_POINTS, _export_density_grids
 from evalp.data import make_gaussian_ring
 from evalp.diffcore import Tensor, active_tape, clear_tape, needs_grad
-from evalp.errors import DomainError
+from evalp.errors import DomainError, ShapeMismatchError
 from evalp.metrics import (
     BLOCK_ROWS,
     GridSpec,
@@ -39,6 +44,7 @@ from evalp.metrics import (
     map_row_blocks,
     median_bandwidth,
     mmd_rbf,
+    qagg_kde_grid,
     qagg_log_kde,
     quadrature_log_z,
     rbf_kernel,
@@ -47,6 +53,7 @@ from evalp.metrics import (
 )
 from evalp.models import EnergyFunction, FlowSampler, VaeModel
 from evalp.rng import Rng
+from evalp.stage1 import Stage1Config, aggregate_posterior_sample, train_vae
 from oracles import mesh_and_log_weights, mesh_quadrature_log_z, three_matrix_mmd
 
 EXPORT_GRIDS = [
@@ -121,6 +128,88 @@ def test_qagg_kde_in_row_slices_matches_one_buffer(monkeypatch):
     np.testing.assert_array_equal(sliced, qagg_log_kde(q)(z))
 
 
+def _kde_grid_deviation():
+    """Largest |qagg_kde_grid - row KDE| / max(1, |row KDE|) over the export
+    grid's nodes, for ring VAEs at two seeds and two KL weights."""
+    grid = GridSpec((-4.0, -4.0), (4.0, 4.0), EXPORT_GRID_POINTS)
+    worst = 0.0
+    for seed in (1, 2):
+        data = make_gaussian_ring(512, seed=seed).samples
+        for kl_weight in (0.5, 2.0):
+            vae, _ = train_vae(data, Stage1Config(nz=2, epochs=20, kl_weight=kl_weight, seed=seed))
+            q = aggregate_posterior_sample(vae, data, 2000, seed)
+            rows = density_grid(qagg_log_kde(q), grid)
+            deviation = np.abs(qagg_kde_grid(q, grid) - rows) / np.maximum(1.0, np.abs(rows))
+            worst = max(worst, float(deviation.max()))
+    return worst
+
+
+@pytest.mark.parametrize("blas_threads", [None, "1"], ids=["blas-unset", "blas-1"])
+def test_qagg_kde_grid_agrees_with_the_row_kde_on_trained_ring_vaes(blas_threads):
+    # The matrix product's summation order depends on the BLAS thread
+    # count, so each setting runs in its own process.
+    here = Path(__file__).resolve().parent
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    env["PYTHONPATH"] = os.pathsep.join([str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")])
+    code = "import test_metrics; print(repr(test_metrics._kde_grid_deviation()))"
+    run = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True)
+    assert float(run.stdout.strip().splitlines()[-1]) <= 1e-14
+
+
+def _factor_sums(q, grid):
+    """The separable sums sum_k A[i, k] B[j, k] of qagg_kde_grid, per node."""
+    bw2 = _kde_bandwidth_sq(q)
+    factors = []
+    for axis, draws in zip(grid.axes(), q.T):
+        e = -((axis[:, None] - draws[None, :]) ** 2) / (2 * bw2)
+        factors.append(np.exp(e - e.max(axis=1, keepdims=True)))
+    return (factors[0] @ factors[1].T).reshape(-1)
+
+
+def test_qagg_kde_grid_takes_the_row_kde_where_the_factor_sums_underflow():
+    # Two far draws: no draw is near both x = 4 and y = 4, so near (4, 4)
+    # every product of the per-axis factors underflows to 0.
+    q = np.zeros((2000, 2))
+    q[1998], q[1999] = (4.0, 0.0), (0.0, 4.0)
+    grid = GridSpec((-4.0, -4.0), (4.0, 4.0), EXPORT_GRID_POINTS)
+    underflow = _factor_sums(q, grid) < np.finfo(np.float64).tiny
+    assert underflow.sum() == 576
+    rows = density_grid(qagg_log_kde(q), grid)
+    assert np.isfinite(rows).all() and rows[-1] == pytest.approx(-12606.9, abs=0.1)
+    values = qagg_kde_grid(q, grid)
+    assert np.isfinite(values).all()
+    np.testing.assert_array_equal(values[underflow], rows[underflow])
+    np.testing.assert_allclose(values, rows, rtol=1e-14, atol=1e-14)
+
+
+def test_qagg_kde_grid_values_are_in_mesh_order():
+    # Unequal axes and draws, so a transposed or reversed layout differs.
+    grid = GridSpec((-1.0, 2.0), (3.0, 5.0), 17)
+    q = Rng(4).normal((300, 2)) * [1.0, 0.5] + [1.0, 3.5]
+    rows = qagg_log_kde(q)(grid.mesh())
+    np.testing.assert_allclose(qagg_kde_grid(q, grid), rows, rtol=1e-14, atol=1e-14)
+    with pytest.raises(ValueError, match="dim == 2"):
+        qagg_kde_grid(q, default_grid(3, points=16))
+    with pytest.raises(ShapeMismatchError):
+        qagg_kde_grid(np.zeros((10, 3)), grid)
+
+
+def test_qagg_kde_grid_holds_two_factor_matrices():
+    q = make_gaussian_ring(2000, seed=3).samples
+    grid = GridSpec((-4.0, -4.0), (4.0, 4.0), EXPORT_GRID_POINTS)
+    tracemalloc.start()
+    try:
+        qagg_kde_grid(q, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Two 101 x 2000 factor matrices are 3.1 MiB; one 256-row slice of
+    # distances, as the row KDE holds, is 3.9 MiB more.
+    assert peak < 8 * 2**20
+
+
 def test_export_writes_the_csv_writer_bytes_with_shared_xy_text(tmp_path, ring_data, monkeypatch):
     grids = []
 
@@ -128,7 +217,12 @@ def test_export_writes_the_csv_writer_bytes_with_shared_xy_text(tmp_path, ring_d
         grids.append((grid.mesh(), density_grid(fn, grid)))
         return grids[-1][1]
 
+    def recorded_kde(q, grid):
+        grids.append((grid.mesh(), qagg_kde_grid(q, grid)))
+        return grids[-1][1]
+
     monkeypatch.setattr(cli, "density_grid", recorded)
+    monkeypatch.setattr(cli, "qagg_kde_grid", recorded_kde)
     vae = VaeModel(2, 2, (8, 8), rng=Rng(1))
     f, g = EnergyFunction(2, 64, Rng(2)), FlowSampler(2, 8, 2, Rng(3))
     names = _export_density_grids(tmp_path, vae, f, g, ring_data, {"sir": 4})

@@ -1,17 +1,20 @@
 """Stage-1 tests: ELBO pieces, the marginal-likelihood bound on a
-linear-Gaussian toy, training behavior, and aggregate-posterior sampling."""
+linear-Gaussian toy, training behavior (default configs inside the
+divergence limit), and aggregate-posterior sampling."""
 
 import math
 
 import numpy as np
 import pytest
 
+from evalp.data import make_dataset
 from evalp.errors import TrainingDivergedError
 from evalp.gauss import LOG_2PI
 from evalp.metrics import mmd_rbf
 from evalp.models import VaeModel
 from evalp.rng import Rng
 from evalp.stage1 import (
+    DIVERGENCE_LIMIT,
     Stage1Config,
     aggregate_posterior_sample,
     elbo_loss,
@@ -115,6 +118,25 @@ class TestTrainVae:
         snapshot = exc_info.value.last_good
         assert snapshot is not None
         assert all(np.all(np.isfinite(arr)) for _, arr in snapshot)
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("gaussian_ring", {}),
+            ("checkerboard", {}),
+            ("pinwheel", {}),
+            ("gaussian_ring", {"radius": 200.0, "sigma": 10.0}),
+        ],
+        ids=["ring", "checkerboard", "pinwheel", "ring-x100"],
+    )
+    def test_default_training_stays_far_inside_the_divergence_limit(self, name, params):
+        # The config file's defaults: 1024 rows and a default Stage1Config.
+        data = make_dataset(name, 1024, 1, params).samples
+        _, history = train_vae(data, Stage1Config())
+        # The limit is DIVERGENCE_LIMIT times the initial loss; a sane run's
+        # terms stay within a few times the first epoch's mean loss.
+        scale = max(1.0, abs(history[0]["total"]))
+        assert max(max(abs(h["recon"]), h["kl"]) for h in history) < 10 * scale < DIVERGENCE_LIMIT
 
     def test_rejects_empty_dataset(self):
         with pytest.raises(ValueError, match="empty"):
