@@ -14,9 +14,10 @@ S = SCRATCH_ELEMS float64 values, beyond its inputs and outputs:
   the distances in the patterns that hold the middle ranks;
 - ``mmd_rbf``: the median's, then a block of at most S kernel entries plus
   two rows;
-- ``qagg_log_kde``: KDE_SLICE_ROWS query rows against all draws;
-- ``qagg_kde_grid``: two P x n kernel-factor matrices, for P points per
-  axis and n draws (3.1 MiB at 101 x 2000), and one value per grid node;
+- ``qagg_mixture_grid``: two P x N factor matrices, for P points per axis
+  and N mixture components, so 1.6 kB per component at P = 101 (1.6 MiB
+  at N = 1024), then one value per grid node; nodes whose sums underflow
+  take blocks of at most S log terms;
 - ``sampling.generate``, ``sample_fast`` and SIR, through
   ``map_row_blocks``: B rows of network activations per worker thread.
 
@@ -36,12 +37,12 @@ NumPy's results bit for bit:
   leaves of at most 128. Summing the tree's nodes of at most S entries with
   NumPy and adding them up the tree equals ``k.sum()`` of the whole matrix.
 
-One evaluation is not bitwise: ``qagg_kde_grid`` sums the KDE's kernel as
-products of per-axis factors, exp(-dx^2 / 2 bw^2) exp(-dy^2 / 2 bw^2), in
-one matrix product, so it agrees with ``density_grid(qagg_log_kde(q),
-grid)`` within 1e-14 of max(1, |value|) (about 1e-15 on trained ring VAEs,
-with about 70% of nodes equal). Its bits depend on the BLAS thread count,
-as the matrix product's summation order does.
+One evaluation is not bitwise: ``qagg_mixture_grid`` sums the mixture as
+products of per-axis factors, N(x; mu_k0, s_k0^2) N(y; mu_k1, s_k1^2), in
+one matrix product, so it agrees with a per-component log-sum-exp within
+1e-14 of max(1, |value|) (about 1e-15 on trained ring VAEs). Its bits
+depend on the BLAS thread count, as the matrix product's summation order
+does.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .gauss import standard_normal_logpdf
+from .gauss import LOG_2PI, standard_normal_logpdf
 
 logger = logging.getLogger(__name__)
 
@@ -186,16 +187,13 @@ def _unbuffered_rows(width: int):
 SCRATCH_ELEMS = 1 << 16
 
 
-def sq_distances(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def sq_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the rows of ``x`` (n x d) and of
-    ``y`` (m x d), written into ``out`` (n x m) when given. Summed over the
-    columns in order, so equal to SciPy's cdist(x, y, "sqeuclidean") bit for
-    bit. Scratch is a copy of y's columns and one block of rows of ``out``
-    of at most SCRATCH_ELEMS elements."""
-    if out is None:
-        out = np.empty((len(x), len(y)))
+    ``y`` (m x d). Summed over the columns in order, so equal to SciPy's
+    cdist(x, y, "sqeuclidean") bit for bit. Scratch is a copy of y's columns
+    and one block of rows of the result of at most SCRATCH_ELEMS elements."""
     # Contiguous columns of y keep NumPy's vectorized scalar-minus-row loop.
-    return _sq_distances_to_cols(x, np.ascontiguousarray(y.T), out)
+    return _sq_distances_to_cols(x, np.ascontiguousarray(y.T), np.empty((len(x), len(y))))
 
 
 def _sq_distances_to_cols(x: np.ndarray, y_cols: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -535,65 +533,33 @@ def quadrature_log_z(f, grid: GridSpec) -> float:
     return float(logsumexp(_map_grid(lambda z, logw: log_density(z) + logw, grid)))
 
 
-# Query rows per KDE distance buffer: 256 rows against 2000 draws is 4 MiB.
-KDE_SLICE_ROWS = 256
-
-
-def _kde_scale(q_samples: np.ndarray) -> tuple[float, float]:
-    """(bw^2, log normalizer) of the Gaussian KDE of ``q_samples``: bandwidth
-    max(1e-3, std * n^(-1/6)), normalizer n (2 pi bw^2)^(dim/2)."""
-    n, dim = q_samples.shape
-    bw2 = max(1e-3, float(q_samples.std()) * n ** (-1.0 / 6.0)) ** 2
-    return bw2, np.log(n) + 0.5 * dim * np.log(2 * np.pi * bw2)
-
-
-def qagg_log_kde(q_samples: np.ndarray):
-    """Rows -> log Gaussian KDE of aggregate-posterior draws ``q_samples``
-    (``_kde_scale``); log-sum-exp in place on a distance buffer of at most
-    KDE_SLICE_ROWS query rows."""
-    n = len(q_samples)
-    bw2, log_norm = _kde_scale(q_samples)
-
-    def log_density(z):
-        out = np.empty(len(z))
-        buf = np.empty((min(len(z), KDE_SLICE_ROWS), n))
-        for s in range(0, len(z), KDE_SLICE_ROWS):
-            rows = z[s : s + KDE_SLICE_ROWS]
-            a = sq_distances(rows, q_samples, out=buf[: len(rows)])
-            a /= -2.0 * bw2
-            peak = a.max(axis=1, keepdims=True)
-            with _unbuffered_rows(n):
-                a -= peak
-            out[s : s + KDE_SLICE_ROWS] = (
-                np.log(np.exp(a, out=a).sum(axis=1)) + peak[:, 0] - log_norm
-            )
-        return out
-
-    return log_density
-
-
-def qagg_kde_grid(q_samples: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """``qagg_log_kde(q_samples)`` at each node of ``grid.mesh()``, a 2-d
-    grid, from per-axis kernel factors (module docstring).
-
-    The kernel factorizes over the axes, so with A[i, k] =
-    exp(-(x_i - q_k0)^2 / 2 bw^2 - a_i) over the x axis, a_i its row
-    maximum, and B, b_j likewise over the y axis, the log KDE at node
-    (x_i, y_j) is log (A B^T)[i, j] + a_i + b_j - log normalizer. Where a
-    node's sum is below n times the smallest normal float, terms lost to
-    underflow could exceed its rounding error, so that node is evaluated by
-    ``qagg_log_kde``."""
+def qagg_mixture_grid(mu: np.ndarray, logvar: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """log q_agg = log (1/N) sum_k N(z; mu_k, diag exp(logvar_k)), the
+    aggregate posterior of N encoded rows, at each node of ``grid.mesh()``,
+    a 2-d grid. Each component factorizes over the axes, so with A[i, k] the
+    log factor log N(x_i; mu_k0, exp(logvar_k0)) less its row maximum a_i,
+    and B, b_j likewise over the y axis, node (x_i, y_j) gets log (exp(A)
+    exp(B)^T)[i, j] + a_i + b_j - log N. A node whose sum is below N times
+    the smallest normal float, where terms lost to underflow could exceed its
+    rounding error, takes the log-sum-exp of the same log factors instead."""
     if grid.dim != 2:
-        raise ValueError(f"qagg_kde_grid needs dim == 2, got {grid.dim}")
-    if q_samples.shape[1] != 2:
-        raise ShapeMismatchError(f"qagg_kde_grid: draws of width {q_samples.shape[1]} on a 2-d grid")
-    n = len(q_samples)
-    bw2, log_norm = _kde_scale(q_samples)
-    axes, factors, peaks = grid.axes(), [], []
-    for axis, draws in zip(axes, q_samples.T):
-        e = np.subtract.outer(axis, draws)
+        raise ValueError(f"qagg_mixture_grid needs dim == 2, got {grid.dim}")
+    if mu.shape[1:] != (2,) or logvar.shape != mu.shape:
+        raise ShapeMismatchError(f"qagg_mixture_grid: mu {mu.shape}, logvar {logvar.shape} on a 2-d grid")
+    n = len(mu)
+    std, log_norm = np.exp(logvar * 0.5), (logvar + LOG_2PI) * -0.5
+
+    def log_factors(k, x):
+        """log N(x_i; mu_jk, exp(logvar_jk)) over nodes i (rows) and components j."""
+        e = np.subtract.outer(x, mu[:, k])
+        e /= std[:, k]
         np.square(e, out=e)
-        e /= -2.0 * bw2
+        e *= -0.5
+        return np.add(e, log_norm[:, k], out=e)
+
+    axes, factors, peaks = grid.axes(), [], []
+    for k, axis in enumerate(axes):
+        e = log_factors(k, axis)
         peak = e.max(axis=1)
         e -= peak[:, None]
         factors.append(np.exp(e, out=e))
@@ -603,11 +569,14 @@ def qagg_kde_grid(q_samples: np.ndarray, grid: GridSpec) -> np.ndarray:
     with np.errstate(divide="ignore"):
         out = np.log(sums)
     out += np.add.outer(peaks[0], peaks[1]).reshape(-1)
-    out -= log_norm
+    out -= np.log(n)
     low = np.flatnonzero(sums < n * np.finfo(np.float64).tiny)
-    if len(low):
-        i, j = np.divmod(low, grid.points)
-        out[low] = qagg_log_kde(q_samples)(np.column_stack([axes[0][i], axes[1][j]]))
+    step = max(1, SCRATCH_ELEMS // n)
+    for s in range(0, len(low), step):
+        i, j = np.divmod(low[s : s + step], grid.points)
+        terms = log_factors(0, axes[0][i])
+        terms += log_factors(1, axes[1][j])
+        out[low[s : s + step]] = logsumexp(terms, axis=1) - np.log(n)
     return out
 
 

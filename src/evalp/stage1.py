@@ -3,8 +3,9 @@ aggregate-posterior latent samples for stage 2.
 
 A training step is one tape node: ``elbo_loss`` runs the encoder, the
 reparameterization, the decoder and both ELBO terms on arrays and pulls
-them back in closed form, and ``aggregate_posterior_sample`` evaluates the
-encoder on arrays off the tape."""
+them back in closed form, and ``encode_posterior`` evaluates the encoder on
+arrays off the tape, for ``aggregate_posterior_sample`` and the exact
+aggregate-posterior density grid."""
 
 from __future__ import annotations
 
@@ -56,13 +57,16 @@ class Stage1Config:
             raise ValueError(f"obs_model must be one of {OBS_MODELS}, got {self.obs_model!r}")
 
 
-def _posterior_sample(m: VaeModel, enc: np.ndarray, eps: np.ndarray):
-    """(mu, clipped log-variance, std, z = mu + std * eps) of q(z|x) from
+def _posterior(m: VaeModel, enc: np.ndarray):
+    """(mu, log-variance clipped to [LOGVAR_MIN, LOGVAR_MAX]) of q(z|x) from
     the encoder's output rows."""
-    mu = enc[:, : m.nz]
-    logvar = np.clip(enc[:, m.nz :], LOGVAR_MIN, LOGVAR_MAX)
-    std = checked_exp(logvar * 0.5)
-    return mu, logvar, std, mu + std * eps
+    return enc[:, : m.nz], np.clip(enc[:, m.nz :], LOGVAR_MIN, LOGVAR_MAX)
+
+
+def encode_posterior(m: VaeModel, x: np.ndarray):
+    """(mu, clipped log-variance) of q(z|x) for each row of ``x``, from one
+    encoder pass off the tape."""
+    return _posterior(m, m.encoder.forward_arrays(x, keep=False)[0])
 
 
 def elbo_loss(m: VaeModel, x: np.ndarray, kl_weight: float, eps: np.ndarray):
@@ -90,7 +94,9 @@ def elbo_loss(m: VaeModel, x: np.ndarray, kl_weight: float, eps: np.ndarray):
     parents = (*enc_net.weights, *enc_net.biases, *dec_net.weights, *dec_net.biases)
     keep = needs_grad(parents)
     enc, enc_cache = enc_net.forward_arrays(x, keep)
-    mu, logvar, std, z = _posterior_sample(m, enc, eps)
+    mu, logvar = _posterior(m, enc)
+    std = checked_exp(logvar * 0.5)
+    z = mu + std * eps
     dec, dec_cache = dec_net.forward_arrays(z, keep)
     if m.obs_model == "gaussian":
         diff = x - dec
@@ -207,5 +213,5 @@ def aggregate_posterior_sample(m: VaeModel, data: np.ndarray, n: int, seed) -> n
     rng = seed if isinstance(seed, Rng) else Rng(seed)
     idx = rng.integers(0, data.shape[0], n)
     eps = rng.normal((n, m.nz))
-    enc, _ = m.encoder.forward_arrays(data[idx], keep=False)
-    return _posterior_sample(m, enc, eps)[3]
+    mu, logvar = encode_posterior(m, data[idx])
+    return mu + checked_exp(logvar * 0.5) * eps

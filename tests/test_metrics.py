@@ -1,15 +1,16 @@
-"""Grid-path tests: density-grid layout, the aggregate-posterior KDE against
-its closed form, its grid from per-axis factors against the row KDE (on
-trained ring VAEs at both BLAS settings, where the factor sums underflow,
-in mesh order, within its memory bound), the export's bytes, normalizer and memory bound, grid
-blocks against the mesh, the default grid against the closed-form linear
-tilt, quadrature bitwise against the mesh formula and bounded to one
-per-node vector, threaded row blocks against the serial loop, the
-median-distance bandwidth and the MMD bitwise against their full-matrix
-formulas, within their memory bounds and freeing their blocks on return,
-the Frechet distance against the
-closed form of two Gaussians, and the NumPy log-sum-exp, squared distances
-and RBF kernel bitwise against SciPy."""
+"""Grid-path tests: density-grid layout, the exact aggregate-posterior grid
+from per-axis factors against a per-component SciPy oracle (on trained ring
+VAEs at both BLAS settings, for one component, where the factor sums
+underflow, in mesh order, within its memory bound) and its cell masses
+against aggregate-posterior draws, the export's bytes, normalizer and
+memory bound, grid blocks against the mesh, the default grid against the
+closed-form linear tilt, quadrature bitwise against the mesh formula and
+bounded to one per-node vector, threaded row blocks against the serial
+loop, the median-distance bandwidth and the MMD bitwise against their
+full-matrix formulas, within their memory bounds and freeing their blocks
+on return, the Frechet distance against the closed form of two Gaussians,
+and the NumPy log-sum-exp, squared distances and RBF kernel bitwise
+against SciPy."""
 
 import csv
 import gc
@@ -27,6 +28,7 @@ import pytest
 from scipy.linalg import sqrtm
 from scipy.spatial.distance import cdist
 from scipy.special import logsumexp as scipy_logsumexp
+from scipy.stats import norm
 
 import evalp.app.cli as cli
 from evalp import metrics
@@ -34,6 +36,7 @@ from evalp.app.cli import EXPORT_GRID_POINTS, _export_density_grids
 from evalp.data import make_gaussian_ring
 from evalp.diffcore import Tensor, active_tape, clear_tape, needs_grad
 from evalp.errors import DomainError, ShapeMismatchError
+from evalp.gauss import standard_normal_logpdf
 from evalp.metrics import (
     BLOCK_ROWS,
     GridSpec,
@@ -44,8 +47,7 @@ from evalp.metrics import (
     map_row_blocks,
     median_bandwidth,
     mmd_rbf,
-    qagg_kde_grid,
-    qagg_log_kde,
+    qagg_mixture_grid,
     quadrature_log_z,
     rbf_kernel,
     sq_distances,
@@ -53,7 +55,7 @@ from evalp.metrics import (
 )
 from evalp.models import EnergyFunction, FlowSampler, VaeModel
 from evalp.rng import Rng
-from evalp.stage1 import Stage1Config, aggregate_posterior_sample, train_vae
+from evalp.stage1 import Stage1Config, aggregate_posterior_sample, encode_posterior, train_vae
 from oracles import mesh_and_log_weights, mesh_quadrature_log_z, three_matrix_mmd
 
 EXPORT_GRIDS = [
@@ -80,72 +82,40 @@ def test_density_grid_needs_two_dimensions():
         density_grid(lambda z: z[:, 0], default_grid(3, points=16))
 
 
-def _kde_bandwidth_sq(q):
-    return max(1e-3, q.std() * len(q) ** (-1.0 / 6.0)) ** 2
+def _mixture_oracle(mu, logvar, z):
+    """log (1/N) sum_k N(z; mu_k, diag exp(logvar_k)) at the rows of z: each
+    component's log density from SciPy, and SciPy's log-sum-exp over them."""
+    std = np.exp(0.5 * logvar)
+    out = np.empty(len(z))
+    for s in range(0, len(z), 256):
+        rows = z[s : s + 256, :, None]
+        terms = norm.logpdf(rows[:, 0], mu[:, 0], std[:, 0]) + norm.logpdf(rows[:, 1], mu[:, 1], std[:, 1])
+        out[s : s + 256] = scipy_logsumexp(terms, axis=1) - np.log(len(mu))
+    return out
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-def test_qagg_kde_matches_the_closed_form_mixture_near_the_data(dim):
-    q = Rng(5).normal((2000, dim)) * np.arange(1.0, dim + 1.0)
-    z = q[:300] + 0.3 * Rng(6).normal((300, dim))
-    bw2 = _kde_bandwidth_sq(q)
-    d2 = ((z[:, None, :] - q[None, :, :]) ** 2).sum(axis=2)
-    oracle = np.log(np.mean(np.exp(-d2 / (2 * bw2)) / (2 * np.pi * bw2) ** (dim / 2), axis=1))
-    np.testing.assert_allclose(qagg_log_kde(q)(z), oracle, rtol=0, atol=1e-12)
+def _deviation(values, oracle):
+    """Largest |value - oracle| / max(1, |oracle|); NaN when a value is NaN,
+    inf when one is infinite."""
+    return float((np.abs(values - oracle) / np.maximum(1.0, np.abs(oracle))).max())
 
 
-def test_qagg_kde_stays_finite_far_from_the_data():
-    q = make_gaussian_ring(2000, seed=3).samples
-    z = np.array([[40.0, 40.0]])
-    scaled = -cdist(z, q, "sqeuclidean") / (2 * _kde_bandwidth_sq(q))
-    with np.errstate(divide="ignore"):
-        assert np.log(np.exp(scaled).sum()) == -np.inf
-    ref = scipy_logsumexp(scaled, axis=1) - np.log(len(q)) - np.log(2 * np.pi * _kde_bandwidth_sq(q))
-    value = qagg_log_kde(q)(z)
-    assert np.isfinite(value).all()
-    np.testing.assert_allclose(value, ref, rtol=1e-14, atol=0)
-
-
-def test_qagg_kde_block_keeps_one_distance_buffer():
-    kde = qagg_log_kde(make_gaussian_ring(2000, seed=3).samples)
-    z = default_grid(2, points=101).mesh()[:BLOCK_ROWS]
-    tracemalloc.start()
-    try:
-        kde(z)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # One 256-row distance buffer is 3.9 MiB; a second one, or one for the
-    # whole 1024-row block (15.6 MiB), would exceed the bound.
-    assert peak < 6 * 2**20
-
-
-def test_qagg_kde_in_row_slices_matches_one_buffer(monkeypatch):
-    q = make_gaussian_ring(2000, seed=3).samples
-    z = Rng(8).normal((BLOCK_ROWS + 300, 2)) * 3.0
-    sliced = qagg_log_kde(q)(z)
-    monkeypatch.setattr(metrics, "KDE_SLICE_ROWS", 10**9)
-    np.testing.assert_array_equal(sliced, qagg_log_kde(q)(z))
-
-
-def _kde_grid_deviation():
-    """Largest |qagg_kde_grid - row KDE| / max(1, |row KDE|) over the export
-    grid's nodes, for ring VAEs at two seeds and two KL weights."""
+def _mixture_grid_deviation():
+    """``_deviation`` of qagg_mixture_grid over the export grid's nodes, the
+    largest for the posteriors of the data rows of ring VAEs at two seeds
+    and two KL weights."""
     grid = GridSpec((-4.0, -4.0), (4.0, 4.0), EXPORT_GRID_POINTS)
-    worst = 0.0
-    for seed in (1, 2):
+    deviations = []
+    for seed, kl_weight in [(1, 0.5), (1, 2.0), (2, 0.5), (2, 2.0)]:
         data = make_gaussian_ring(512, seed=seed).samples
-        for kl_weight in (0.5, 2.0):
-            vae, _ = train_vae(data, Stage1Config(nz=2, epochs=20, kl_weight=kl_weight, seed=seed))
-            q = aggregate_posterior_sample(vae, data, 2000, seed)
-            rows = density_grid(qagg_log_kde(q), grid)
-            deviation = np.abs(qagg_kde_grid(q, grid) - rows) / np.maximum(1.0, np.abs(rows))
-            worst = max(worst, float(deviation.max()))
-    return worst
+        vae, _ = train_vae(data, Stage1Config(nz=2, epochs=20, kl_weight=kl_weight, seed=seed))
+        mu, logvar = encode_posterior(vae, data)
+        deviations.append(_deviation(qagg_mixture_grid(mu, logvar, grid), _mixture_oracle(mu, logvar, grid.mesh())))
+    return float(np.max(deviations))
 
 
 @pytest.mark.parametrize("blas_threads", [None, "1"], ids=["blas-unset", "blas-1"])
-def test_qagg_kde_grid_agrees_with_the_row_kde_on_trained_ring_vaes(blas_threads):
+def test_qagg_mixture_grid_matches_the_per_component_oracle_on_trained_ring_vaes(blas_threads):
     # The matrix product's summation order depends on the BLAS thread
     # count, so each setting runs in its own process.
     here = Path(__file__).resolve().parent
@@ -153,61 +123,88 @@ def test_qagg_kde_grid_agrees_with_the_row_kde_on_trained_ring_vaes(blas_threads
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
     env["PYTHONPATH"] = os.pathsep.join([str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")])
-    code = "import test_metrics; print(repr(test_metrics._kde_grid_deviation()))"
+    code = "import test_metrics; print(repr(test_metrics._mixture_grid_deviation()))"
     run = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True)
     assert float(run.stdout.strip().splitlines()[-1]) <= 1e-14
 
 
-def _factor_sums(q, grid):
-    """The separable sums sum_k A[i, k] B[j, k] of qagg_kde_grid, per node."""
-    bw2 = _kde_bandwidth_sq(q)
+def test_qagg_mixture_grid_of_one_component_is_its_gaussian_log_density():
+    grid = GridSpec((-4.0, -4.0), (4.0, 4.0), EXPORT_GRID_POINTS)
+    mu, logvar = np.array([[0.7, -1.2]]), np.log([[0.3, 2.5]])
+    z = grid.mesh()
+    oracle = norm.logpdf(z[:, 0], 0.7, np.sqrt(0.3)) + norm.logpdf(z[:, 1], -1.2, np.sqrt(2.5))
+    assert _deviation(qagg_mixture_grid(mu, logvar, grid), oracle) <= 1e-14
+
+
+def _factor_sums(mu, logvar, grid):
+    """The separable sums sum_k A[i, k] B[j, k] of qagg_mixture_grid, per node."""
     factors = []
-    for axis, draws in zip(grid.axes(), q.T):
-        e = -((axis[:, None] - draws[None, :]) ** 2) / (2 * bw2)
+    for axis, m, v in zip(grid.axes(), mu.T, logvar.T):
+        e = norm.logpdf(axis[:, None], m[None, :], np.exp(0.5 * v)[None, :])
         factors.append(np.exp(e - e.max(axis=1, keepdims=True)))
     return (factors[0] @ factors[1].T).reshape(-1)
 
 
-def test_qagg_kde_grid_takes_the_row_kde_where_the_factor_sums_underflow():
-    # Two far draws: no draw is near both x = 4 and y = 4, so near (4, 4)
-    # every product of the per-axis factors underflows to 0.
-    q = np.zeros((2000, 2))
-    q[1998], q[1999] = (4.0, 0.0), (0.0, 4.0)
+def test_qagg_mixture_grid_takes_the_log_sum_exp_where_the_factor_sums_underflow():
+    # Two far components: none is near both x = 4 and y = 4, so near (4, 4)
+    # the per-axis factors' products underflow.
+    mu = np.zeros((2000, 2))
+    mu[1998], mu[1999] = (4.0, 0.0), (0.0, 4.0)
+    logvar = np.full_like(mu, np.log(0.005))
     grid = GridSpec((-4.0, -4.0), (4.0, 4.0), EXPORT_GRID_POINTS)
-    underflow = _factor_sums(q, grid) < np.finfo(np.float64).tiny
-    assert underflow.sum() == 576
-    rows = density_grid(qagg_log_kde(q), grid)
-    assert np.isfinite(rows).all() and rows[-1] == pytest.approx(-12606.9, abs=0.1)
-    values = qagg_kde_grid(q, grid)
-    assert np.isfinite(values).all()
-    np.testing.assert_array_equal(values[underflow], rows[underflow])
-    np.testing.assert_allclose(values, rows, rtol=1e-14, atol=1e-14)
+    low = _factor_sums(mu, logvar, grid) < len(mu) * np.finfo(np.float64).tiny
+    assert low.sum() == 225
+    oracle = _mixture_oracle(mu, logvar, grid.mesh())
+    assert oracle[-1] == pytest.approx(-1603.45, abs=0.01)
+    assert _deviation(qagg_mixture_grid(mu, logvar, grid), oracle) <= 1e-14
 
 
-def test_qagg_kde_grid_values_are_in_mesh_order():
-    # Unequal axes and draws, so a transposed or reversed layout differs.
+def test_qagg_mixture_grid_values_are_in_mesh_order():
+    # Unequal axes and components, so a transposed or reversed layout differs.
     grid = GridSpec((-1.0, 2.0), (3.0, 5.0), 17)
-    q = Rng(4).normal((300, 2)) * [1.0, 0.5] + [1.0, 3.5]
-    rows = qagg_log_kde(q)(grid.mesh())
-    np.testing.assert_allclose(qagg_kde_grid(q, grid), rows, rtol=1e-14, atol=1e-14)
+    mu = Rng(4).normal((300, 2)) * [1.0, 0.5] + [1.0, 3.5]
+    logvar = Rng(5).normal((300, 2)) * 0.5 - [1.0, 2.0]
+    assert _deviation(qagg_mixture_grid(mu, logvar, grid), _mixture_oracle(mu, logvar, grid.mesh())) <= 1e-14
     with pytest.raises(ValueError, match="dim == 2"):
-        qagg_kde_grid(q, default_grid(3, points=16))
+        qagg_mixture_grid(mu, logvar, default_grid(3, points=16))
     with pytest.raises(ShapeMismatchError):
-        qagg_kde_grid(np.zeros((10, 3)), grid)
+        qagg_mixture_grid(np.zeros((10, 3)), np.zeros((10, 3)), grid)
+    with pytest.raises(ShapeMismatchError):
+        qagg_mixture_grid(mu, logvar[:10], grid)
 
 
-def test_qagg_kde_grid_holds_two_factor_matrices():
-    q = make_gaussian_ring(2000, seed=3).samples
+def test_qagg_mixture_grid_holds_two_factor_matrices():
+    mu = make_gaussian_ring(1024, seed=3).samples
+    logvar = np.full_like(mu, np.log(0.05))
     grid = GridSpec((-4.0, -4.0), (4.0, 4.0), EXPORT_GRID_POINTS)
     tracemalloc.start()
     try:
-        qagg_kde_grid(q, grid)
+        qagg_mixture_grid(mu, logvar, grid)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # Two 101 x 2000 factor matrices are 3.1 MiB; one 256-row slice of
-    # distances, as the row KDE holds, is 3.9 MiB more.
-    assert peak < 8 * 2**20
+    # Two 101 x 1024 factor matrices are 1.6 MiB; a third would exceed it.
+    assert peak < 2.5 * 2**20
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_qagg_mixture_grid_cell_mass_matches_aggregate_posterior_draws(seed):
+    # 4 x 4 cells of whole node cells, so each cell's grid mass is its
+    # nodes' midpoint sum. Draws and grid must clip and scale sigma alike.
+    data = make_gaussian_ring(512, seed=seed).samples
+    vae, _ = train_vae(data, Stage1Config(nz=2, epochs=20, seed=seed))
+    grid = GridSpec((-4.0, -4.0), (4.0, 4.0), EXPORT_GRID_POINTS)
+    h = 8.0 / (EXPORT_GRID_POINTS - 1)
+    mass = np.exp(qagg_mixture_grid(*encode_posterior(vae, data), grid)).reshape(101, 101) * h * h
+    cuts = [0, 25, 50, 75, 101]
+    cell_mass = np.add.reduceat(np.add.reduceat(mass, cuts[:-1], axis=0), cuts[:-1], axis=1)
+    # In blocks of 20 000 draws, so the encoder's activations stay small.
+    rng = Rng(seed + 10)
+    draws = np.vstack([aggregate_posterior_sample(vae, data, 20_000, rng.spawn()) for _ in range(10)])
+    edges = np.append(grid.axes()[0][cuts[:-1]] - h / 2, 4.0 + h / 2)
+    counts, _, _ = np.histogram2d(draws[:, 0], draws[:, 1], bins=[edges, edges])
+    stderr = np.sqrt(cell_mass * (1.0 - cell_mass) / len(draws))
+    assert (np.abs(counts / len(draws) - cell_mass) <= 4.0 * stderr).all()
 
 
 def test_export_writes_the_csv_writer_bytes_with_shared_xy_text(tmp_path, ring_data, monkeypatch):
@@ -217,15 +214,15 @@ def test_export_writes_the_csv_writer_bytes_with_shared_xy_text(tmp_path, ring_d
         grids.append((grid.mesh(), density_grid(fn, grid)))
         return grids[-1][1]
 
-    def recorded_kde(q, grid):
-        grids.append((grid.mesh(), qagg_kde_grid(q, grid)))
+    def recorded_mixture(mu, logvar, grid):
+        grids.append((grid.mesh(), qagg_mixture_grid(mu, logvar, grid)))
         return grids[-1][1]
 
     monkeypatch.setattr(cli, "density_grid", recorded)
-    monkeypatch.setattr(cli, "qagg_kde_grid", recorded_kde)
+    monkeypatch.setattr(cli, "qagg_mixture_grid", recorded_mixture)
     vae = VaeModel(2, 2, (8, 8), rng=Rng(1))
     f, g = EnergyFunction(2, 64, Rng(2)), FlowSampler(2, 8, 2, Rng(3))
-    names = _export_density_grids(tmp_path, vae, f, g, ring_data, {"sir": 4})
+    names = _export_density_grids(tmp_path, vae, f, g, ring_data)
     assert len(grids) == len(names) == 4
 
     oracles = []
@@ -248,7 +245,7 @@ def test_export_is_bounded_in_memory_and_normalizes_the_tilted_grid(tmp_path, ri
     g = FlowSampler(2, 8, 2, Rng(3))
     tracemalloc.start()
     try:
-        names = _export_density_grids(tmp_path, vae, f, g, ring_data, {"sir": 4})
+        names = _export_density_grids(tmp_path, vae, f, g, ring_data)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -357,11 +354,10 @@ def test_threaded_blocks_match_the_serial_loop(n, fn, monkeypatch):
 def test_threaded_grids_and_quadrature_match_the_serial_loop(monkeypatch):
     f = EnergyFunction(2, 16, Rng(2))
     g = FlowSampler(2, 8, 2, Rng(3))
-    kde = qagg_log_kde(make_gaussian_ring(2000, seed=3).samples)
     grid = default_grid(2, points=101)
 
     def evaluate():
-        grids = [density_grid(fn, grid) for fn in (tilted_log_density(f), g.log_pdf, kde)]
+        grids = [density_grid(fn, grid) for fn in (tilted_log_density(f), g.log_pdf, standard_normal_logpdf)]
         return grids, quadrature_log_z(f, default_grid(2, points=201))
 
     (serial, serial_z), (threaded, threaded_z) = _serial_and_threaded(monkeypatch, evaluate)
@@ -639,9 +635,6 @@ def test_sq_distances_match_scipy_cdist_bit_for_bit(d):
     y = Rng(d + 1).normal((700, d)) * 3.0
     ref = cdist(x, y, "sqeuclidean")
     _assert_same_bits(sq_distances(x, y), ref)
-    out = np.empty((300, 700))
-    assert sq_distances(x, y, out=out) is out
-    _assert_same_bits(out, ref)
 
 
 def test_sq_distances_leave_the_ufunc_buffer_size_as_it_was():
