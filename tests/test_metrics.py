@@ -115,7 +115,7 @@ def _mixture_grid_deviation():
 
 
 @pytest.mark.parametrize("blas_threads", [None, "1"], ids=["blas-unset", "blas-1"])
-def test_qagg_mixture_grid_matches_the_per_component_oracle_on_trained_ring_vaes(blas_threads):
+def test_qagg_mixture_grid_matches_the_oracle_on_trained_ring_vaes(blas_threads):
     # The matrix product's summation order depends on the BLAS thread
     # count, so each setting runs in its own process.
     here = Path(__file__).resolve().parent
