@@ -18,8 +18,12 @@ S = SCRATCH_ELEMS float64 values, beyond its inputs and outputs:
   and N mixture components, so 1.6 kB per component at P = 101 (1.6 MiB
   at N = 1024), then one value per grid node; nodes whose sums underflow
   take blocks of at most S log terms;
-- ``sampling.generate``, ``sample_fast`` and SIR, through
-  ``map_row_blocks``: B rows of network activations per worker thread.
+- ``sampling.generate``, ``sample_fast`` and
+  ``stage1.aggregate_posterior_sample``, through ``map_row_blocks``: B rows
+  of network activations per worker thread;
+- SIR: the chunk's N(0, I) noise (at most 200 000 x nz values), one
+  uniform per pick, and per worker thread one block of whole picks,
+  max(1, B // M) picks of M proposal rows each.
 
 The module needs NumPy only. Its numerical kernels reproduce SciPy's and
 NumPy's results bit for bit:

@@ -26,17 +26,29 @@ class Rng:
         return self._gen.random(shape)
 
     def normal(self, shape=()) -> np.ndarray:
-        """Standard-normal draws via Box-Muller."""
+        """Standard-normal draws via Box-Muller: from n/2 uniform pairs
+        (u1, u2), r cos(2 pi u2) fills the first half and r sin(2 pi u2) the
+        second, r = sqrt(-2 log(1 - u1)). Computed in place, so it holds the
+        output plus two half-length arrays, r and the angle."""
         n = int(np.prod(shape)) if shape != () else 1
         pairs = (n + 1) // 2
+        r = self._gen.random(pairs)
+        angle = self._gen.random(pairs)
         # 1 - U keeps the log argument in (0, 1].
-        u1 = 1.0 - self._gen.random(pairs)
-        u2 = self._gen.random(pairs)
-        r = np.sqrt(-2.0 * np.log(u1))
-        z = np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])[:n]
+        np.subtract(1.0, r, out=r)
+        np.log(r, out=r)
+        np.multiply(r, -2.0, out=r)
+        np.sqrt(r, out=r)
+        np.multiply(angle, 2.0 * np.pi, out=angle)
+        z = np.empty(2 * pairs)
+        cos, sin = z[:pairs], z[pairs:]
+        np.cos(angle, out=cos)
+        np.sin(angle, out=sin)
+        cos *= r
+        sin *= r
         if shape == ():
             return z[0]
-        return z.reshape(shape)
+        return z[:n].reshape(shape)
 
     def integers(self, low, high, shape=()) -> np.ndarray:
         """Integer draws in [low, high)."""

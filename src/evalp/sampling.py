@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import metrics
 from .diffcore.tensor import stable_sigmoid
 from .errors import DomainError, ShapeMismatchError
 from .metrics import logsumexp, map_row_blocks
@@ -81,25 +82,36 @@ def resample(logw, u):
 def sir_sample(propose, nz: int, proposals: int, count: int, seed):
     """``count`` independent SIR picks, each among its own ``proposals`` rows.
 
-    Per chunk of picks the loop draws the N(0, I) noise rows, then one
-    uniform per pick. ``propose`` maps each block of metrics.BLOCK_ROWS
-    noise rows to (latents, un-normalized log weights), one per row; it runs
-    in ``map_row_blocks``, so it records nothing on the tape. ``resample``
-    picks in log space.
+    Per chunk of at most 200 000 noise rows the loop draws the N(0, I)
+    noise, then one uniform per pick. The chunk's picks then run in blocks
+    of whole picks, max(1, metrics.BLOCK_ROWS // proposals) each, on the
+    threads ``map_row_blocks`` uses. ``propose`` maps a block's noise rows
+    to (latents, un-normalized log weights), one per row; like any
+    ``map_row_blocks`` function it records nothing on the tape. ``resample``
+    picks in log space, and only the picked latents leave the block, so
+    beyond the output the loop holds the chunk's noise and uniforms plus
+    one block's working set per thread.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     rng = Rng(seed)
     out = np.zeros((count, nz))
-    # At most 200 000 noise rows per chunk bound the draws.
     chunk = max(1, min(count, 200000 // proposals))
+    per_block = max(1, metrics.BLOCK_ROWS // proposals)
     done = 0
     while done < count:
         b = min(chunk, count - done)
-        eps = rng.normal((b * proposals, nz))
-        z, logw = map_row_blocks(propose, eps)
-        picks = resample(logw.reshape(b, proposals), rng.uniform((b, 1)))
-        out[done : done + b] = z.reshape(b, proposals, nz)[np.arange(b), picks]
+        eps = rng.normal((b * proposals, nz)).reshape(b, proposals, nz)
+        u = rng.uniform((b, 1))
+
+        def pick(start):
+            k = min(per_block, b - start)
+            z, logw = propose(eps[start : start + k].reshape(k * proposals, nz))
+            picks = resample(logw.reshape(k, proposals), u[start : start + k])
+            out[done + start : done + start + k] = z.reshape(k, proposals, nz)[np.arange(k), picks]
+
+        starts = range(0, b, per_block)
+        metrics._map_threaded(pick, starts, min(metrics.BLOCK_WORKERS, len(starts)))
         done += b
     return out
 

@@ -23,6 +23,7 @@ from .errors import (
     TrainingDivergedError,
 )
 from .gauss import LOG_2PI, LOGVAR_MAX, LOGVAR_MIN
+from .metrics import map_row_blocks
 from .models import OBS_MODELS, VaeModel
 from .rng import Rng
 
@@ -202,7 +203,16 @@ def train_vae(data: np.ndarray, cfg: Stage1Config):
 
 
 def aggregate_posterior_sample(m: VaeModel, data: np.ndarray, n: int, seed) -> np.ndarray:
-    """Draw n latents from the aggregate posterior: x ~ data, z ~ q(z|x)."""
+    """Draw n latents from the aggregate posterior: x ~ data, z ~ q(z|x).
+
+    All n row indices are drawn, then all n noise rows. Gathering, encoding
+    and reparameterizing run in ``map_row_blocks``, so memory is the draws
+    and the latents plus one block's activations per worker; up to one block
+    (as in stage 2's minibatches) no thread starts. BLAS may pick its kernel
+    by row count, so more rows than one block can differ from one encoder
+    pass over all of them in the last bits, within ``generate``'s decode
+    tolerance.
+    """
     if n <= 0:
         raise ValueError(f"sample count must be positive, got {n}")
     data = np.asarray(data, dtype=np.float64)
@@ -213,5 +223,9 @@ def aggregate_posterior_sample(m: VaeModel, data: np.ndarray, n: int, seed) -> n
     rng = seed if isinstance(seed, Rng) else Rng(seed)
     idx = rng.integers(0, data.shape[0], n)
     eps = rng.normal((n, m.nz))
-    mu, logvar = encode_posterior(m, data[idx])
-    return mu + checked_exp(logvar * 0.5) * eps
+
+    def draw(rows):
+        mu, logvar = encode_posterior(m, data[idx[rows]])
+        return mu + checked_exp(logvar * 0.5) * eps[rows]
+
+    return map_row_blocks(draw, np.arange(n))

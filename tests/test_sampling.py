@@ -2,6 +2,7 @@
 SciPy's log-sum-exp, tilted_base (the default) SIR against the 2-d
 quadrature oracle, the NFE counter against the rows actually evaluated,
 evaluation in row blocks against one block and on two threads against one,
+SIR in blocks of whole picks within a bound of its chunk's noise,
 the paper_literal picks against a reference that evaluates Z-hat,
 decoding against the per-op route, and decoding in row blocks within the
 decode tolerance of one pass and within one block's memory."""
@@ -103,7 +104,8 @@ def test_nfe_counter_reads_m_per_sample(mode, monkeypatch):
     assert (counter.fp_flow, counter.fp_energy, counter.bp) == (200, 200, 0)
     assert counter.fp == 400
     assert sum(rows["flow"]) == sum(rows["energy"]) == 15 * counter.fp_flow
-    assert max(rows["flow"]) == metrics.BLOCK_ROWS
+    # A block holds whole picks: 5 of 200 proposals at 1024 block rows.
+    assert max(rows["flow"]) == 200 * (metrics.BLOCK_ROWS // 200)
 
 
 def _paper_literal_with_z_hat(f, g, cfg, count, n=200):
@@ -159,6 +161,27 @@ def test_threaded_sir_and_fast_sampling_match_one_thread(mode, monkeypatch):
     np.testing.assert_array_equal(sample_fast(g, 5000, 7)[0], fast)
 
 
+# (proposals, picks): 3 picks per block, the last block holding 1; one pick
+# of more rows than BLOCK_ROWS per block; 2 picks per block, the last one 1;
+# two chunks, of 400 and 50 picks.
+SIR_BLOCK_CASES = [(300, 40), (1500, 5), (500, 5), (500, 450)]
+
+
+@pytest.mark.parametrize("proposals, count", SIR_BLOCK_CASES)
+def test_sir_blocks_of_whole_picks_match_one_block_and_one_thread(proposals, count, monkeypatch):
+    f, g = _nonlinear_models()
+    cfg = SirConfig(proposals=proposals, seed=4)
+    monkeypatch.setattr(metrics, "BLOCK_WORKERS", 2)
+    blocked, _ = sample_sir_batch(f, g, cfg, count)
+    monkeypatch.setattr(metrics, "BLOCK_WORKERS", 1)
+    np.testing.assert_array_equal(sample_sir_batch(f, g, cfg, count)[0], blocked)
+    monkeypatch.setattr(metrics, "BLOCK_ROWS", 10**9)
+    whole, _ = sample_sir_batch(f, g, cfg, count)
+    # Same picks; BLAS may pick its kernel by row count, so the picked
+    # latents can differ from one pass over the chunk in the last bits.
+    np.testing.assert_allclose(blocked, whole, rtol=0, atol=1e-12)
+
+
 def test_sir_memory_is_bounded_by_the_block():
     sizes = default_sizes(2)
     f = EnergyFunction(2, sizes["nd"], Rng(0))
@@ -173,6 +196,23 @@ def test_sir_memory_is_bounded_by_the_block():
     # One pass over all 100k proposal rows needs about 207 MB; blocks of
     # 1024 rows about 9 MB.
     assert peak < 32 * 2**20
+
+
+def test_sir_holds_the_chunk_noise_and_one_block_of_picks_at_nz16():
+    sizes = default_sizes(16)
+    f = EnergyFunction(16, sizes["nd"], Rng(0))
+    g = perturbed_flow(16, sizes["nh"], sizes["n_layers"], 1)
+    tracemalloc.start()
+    try:
+        sample_sir_batch(f, g, SirConfig(seed=0), 400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 400 picks of 500 proposals are one chunk of 200 000 noise rows, 24.4
+    # MiB, and Box-Muller holds two half-length arrays beside it: 48.9 MiB.
+    # Blocks of proposal rows whose latents and log weights were joined
+    # for the whole chunk before resampling peaked at 85.5 MiB.
+    assert peak < 64 * 2**20
 
 
 @pytest.mark.parametrize("seed", range(3))

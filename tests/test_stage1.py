@@ -3,10 +3,12 @@ linear-Gaussian toy, training behavior (default configs inside the
 divergence limit), and aggregate-posterior sampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from evalp import metrics
 from evalp.data import make_dataset
 from evalp.errors import TrainingDivergedError
 from evalp.gauss import LOG_2PI
@@ -189,6 +191,38 @@ class TestAggregatePosterior:
         a = aggregate_posterior_sample(m, ring_data, 100, seed=7)
         b = aggregate_posterior_sample(m, ring_data, 100, seed=7)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "data_dim, nz, hidden, obs_model",
+        [(2, 2, (64, 64), "gaussian"), (256, 16, (128, 128), "bernoulli")],
+        ids=["ring", "idx16"],
+    )
+    def test_row_blocks_match_one_block(self, data_dim, nz, hidden, obs_model, monkeypatch):
+        m = VaeModel(data_dim, nz, hidden, obs_model, rng=Rng(1))
+        data = Rng(2).uniform((500, data_dim))
+        monkeypatch.setattr(metrics, "BLOCK_WORKERS", 2)
+        blocked = aggregate_posterior_sample(m, data, 5000, seed=3)
+        monkeypatch.setattr(metrics, "BLOCK_WORKERS", 1)
+        np.testing.assert_array_equal(aggregate_posterior_sample(m, data, 5000, seed=3), blocked)
+        monkeypatch.setattr(metrics, "BLOCK_ROWS", 10**9)
+        whole = aggregate_posterior_sample(m, data, 5000, seed=3)
+        # BLAS may pick its kernel by row count, so an encoder pass over
+        # blocks can differ from one over all rows in the last bits: within
+        # generate's decode tolerance, 2e-12 of each row's largest magnitude.
+        scale = np.abs(whole).max(axis=1, keepdims=True)
+        assert (np.abs(blocked - whole) <= 2e-12 * scale).all()
+
+    def test_holds_the_draws_and_one_block_of_activations(self, ring_data):
+        m = VaeModel(2, 2, (64, 64), rng=Rng(1))
+        tracemalloc.start()
+        try:
+            aggregate_posterior_sample(m, ring_data, 200_000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The indices, the noise and the latents take 12.3 MiB; encoding all
+        # 200 000 rows at once held about 203 MiB of activations.
+        assert peak < 24 * 2**20
 
     def test_prior_matched_encoder_passes_permutation_test(self, ring_data):
         m = VaeModel(2, 2, hidden=(8,))
