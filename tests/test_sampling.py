@@ -210,8 +210,8 @@ def test_sir_holds_the_chunk_noise_and_one_block_of_picks_at_nz16():
         tracemalloc.stop()
     # 400 picks of 500 proposals are one chunk of 200 000 noise rows, 24.4
     # MiB, and Box-Muller holds two half-length arrays beside it: 48.9 MiB.
-    # Blocks of proposal rows whose latents and log weights were joined
-    # for the whole chunk before resampling peaked at 85.5 MiB.
+    # Joining every proposal's latent and log weight for the chunk before
+    # resampling would peak at 85.5 MiB.
     assert peak < 64 * 2**20
 
 

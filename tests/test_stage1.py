@@ -220,8 +220,8 @@ class TestAggregatePosterior:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # The indices, the noise and the latents take 12.3 MiB; encoding all
-        # 200 000 rows at once held about 203 MiB of activations.
+        # The indices, the noise and the latents peak at 12.3 MiB; encoding
+        # all 200 000 rows at once would hold about 203 MiB of activations.
         assert peak < 24 * 2**20
 
     def test_prior_matched_encoder_passes_permutation_test(self, ring_data):
